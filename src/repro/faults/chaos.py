@@ -50,7 +50,7 @@ Usage::
         ChaosEvent(kind="kill", rank=1, op_index=0, phase="collective"),
     ))
     sup = GangSupervisor(chaos=plan)   # recovers: rebuild + retry
-    MpBackend(chaos=plan)              # fails fast: MpGangError
+    MpBackend(chaos=plan)              # retries off: MpGangError
 
 Each event fires on at most ``times`` attempts of its operation (default
 1), so a supervised retry after a single kill runs clean — raise
@@ -86,8 +86,10 @@ class ChaosEvent:
         the victim rank.
     op_index:
         the logical operation (0-based, in supervisor submission order;
-        for ``phase="spawn"`` it is the 0-based gang *build* index).
-        A bare :class:`~repro.runtime.mp.MpBackend` run is op 0.
+        for ``phase="spawn"`` it is the op whose gang fork the event
+        hits, and ``warm()`` forks for the next op).  Every
+        :class:`~repro.runtime.mp.MpBackend` call runs on a fresh one-op
+        supervisor, so it is op 0.
     phase:
         prefix-matched against ``ctx.phase(...)`` labels and the
         pseudo-phases ``spawn`` / ``start`` / ``collective`` /
@@ -160,9 +162,10 @@ class ChaosPlan:
     """An immutable, seeded collection of :class:`ChaosEvent` placements.
 
     The plan itself is pure data (picklable, shippable to workers); all
-    bookkeeping about *delivered* events lives in the consumer (the
+    bookkeeping about *delivered* events lives in the consumer: the
     supervisor keeps a per-event countdown so retries see ``times``
-    honoured; a bare ``MpBackend`` run delivers op-0 events once).
+    honoured (``MpBackend`` runs each call on a fresh one-op supervisor
+    with retries off, so a call delivers its op-0 events once).
     """
 
     events: tuple[ChaosEvent, ...] = ()
@@ -206,13 +209,6 @@ class ChaosPlan:
     @property
     def is_noop(self) -> bool:
         return not self.events
-
-    def events_for(self, op_index: int, rank: int | None = None) -> tuple[ChaosEvent, ...]:
-        """Events placed at ``op_index`` (optionally for one rank)."""
-        return tuple(
-            ev for ev in self.events
-            if ev.op_index == op_index and (rank is None or ev.rank == rank)
-        )
 
     def describe(self) -> str:
         if self.is_noop:

@@ -10,9 +10,10 @@ A :class:`Backend` decides *where* those programs execute:
   two-level cost model.  Times are **simulated** CM-5-scale seconds, and a
   run is bit-for-bit reproducible.
 * :class:`~repro.runtime.mp.MpBackend` — one OS process per rank over
-  ``multiprocessing``, with shared-memory-backed input arrays and
-  pipe/queue message transport.  Times are **wall** seconds measured on
-  the host's cores.
+  ``multiprocessing``, with shared-memory-backed input arrays and a
+  shared-memory ring (or pipe/queue) message transport, run as a one-op
+  gang of :mod:`repro.runtime.supervisor`.  Times are **wall** seconds
+  measured on the host's cores.
 
 Both backends run the *same* program source: the cooperative yield
 protocol (``yield ctx.recv(...)``, ``yield CollectiveOp(...)``) doubles as
@@ -108,13 +109,12 @@ def resolve_transport(transport: str | None) -> str:
 
 
 class Deadline:
-    """One wall-clock deadline, shared by every collect loop that waits on a gang.
+    """One wall-clock deadline for the gang host's wait loop.
 
-    ``MpBackend._collect`` and ``GangSupervisor._collect_op`` used to carry
-    duplicate ``None``-or-``monotonic()+timeout`` plumbing; unifying it here
-    means a ring-wait that overruns surfaces through the same watchdog
-    attribution (which ranks are still pending, how long we waited) on both
-    paths instead of a generic wall timeout.
+    The loop (``GangSupervisor._wait``, which both process backends run
+    through) holds one for the op and one for the spawn, so a ring-wait
+    that overruns surfaces with watchdog attribution (which ranks are
+    still pending, how long we waited) instead of a generic wall timeout.
 
     A ``timeout`` of ``None`` never expires.
     """

@@ -1,4 +1,4 @@
-"""Process-per-rank execution backend over ``multiprocessing``.
+"""Process-per-rank execution: the rank side, and the ``mp`` backend.
 
 :class:`MpBackend` runs the same SPMD generator programs as the simulator,
 but on real cores: one forked OS process per rank, global input arrays in
@@ -54,20 +54,29 @@ phase label on every phase switch — so per-phase breakdowns, the profiler
 and the metrics registry all work unchanged, just in a different
 ``time_domain`` (``"wall"``).
 
+This module is the *rank side* — context, driver, transports, the
+shared-memory arena and the profile buffers.  The one gang host (fork,
+dispatch, collect, deadline, chaos delivery, reap) lives in
+:mod:`repro.runtime.supervisor`; :class:`MpBackend` is a thin backend
+over it that runs each op on a fresh one-op gang with retries off.
+
 Failure hygiene
 ---------------
-A rank that raises mid-phase ships ``("error", rank, traceback)`` home;
-the host terminates the whole gang, joins every child, closes and unlinks
-every shared-memory segment, and raises :class:`MpGangError` carrying the
-originating rank's traceback.  A rank that dies without reporting (e.g.
-killed) is detected by exit-code polling.  The host's ``finally`` block
-performs the same reaping on every path, so no children or ``/dev/shm``
-segments outlive a run.
+A rank that raises mid-phase ships its traceback home; the host kills the
+whole gang, joins every child, closes and unlinks every shared-memory
+segment, and raises :class:`MpGangError` carrying the originating rank's
+traceback.  A rank that dies without reporting (e.g. killed) wakes the
+host through its exit sentinel and is reported as ``rank R exited with
+code C without reporting a result``, whichever backend ran it.  The same
+reaping runs on every path, so no children or ``/dev/shm`` segments
+outlive a run.
 
 If the *parent* itself dies mid-run (SIGTERM, interpreter exit with a
 gang still up), a process-wide emergency registry unlinks every live
 shared-memory segment and kills stray children — see
-:func:`register_for_cleanup`.
+:func:`register_for_cleanup`.  A warm gang whose host is SIGKILLed
+notices through its heartbeat and exits, after which the host's resource
+tracker unlinks the segments.
 
 Simulator-only features — fault injection, the reliable transport
 (``auto_ack``), timed receives, watchdog budgets in simulated seconds —
@@ -84,15 +93,10 @@ the supervisor's job (:mod:`repro.runtime.supervisor`).
 from __future__ import annotations
 
 import atexit
-import multiprocessing as _mp
 import os
 import pickle
-import queue as _queue_mod
 import signal as _signal
-import time
-import traceback
 import weakref
-from multiprocessing.connection import wait as _conn_wait
 from time import monotonic, perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
@@ -103,9 +107,9 @@ from ..faults.chaos import ChaosEvent, fire_chaos
 from ..machine.context import payload_words
 from ..machine.errors import CollectiveMismatchError, MessageError, ProgramError
 from ..machine.ops import ANY, CollectiveOp, Message, Recv
-from ..machine.spec import CM5, MachineSpec
-from ..machine.stats import ProcStats, RunResult, stats_from_snapshot
-from .base import Backend, BackendError, Deadline, resolve_transport
+from ..machine.spec import MachineSpec
+from ..machine.stats import ProcStats, RunResult
+from .base import Backend, BackendError, resolve_transport
 from .shm_ring import RingMatrix
 
 __all__ = ["MpBackend", "MpGangError", "register_for_cleanup"]
@@ -114,10 +118,6 @@ __all__ = ["MpBackend", "MpGangError", "register_for_cleanup"]
 #: use non-negative tags, so these can never collide.
 _COLL_CONTRIB = -101
 _COLL_RESULT = -102
-
-#: Child exit code used when the program raised (after the traceback was
-#: shipped home on the result queue).
-_CHILD_FAILED = 70
 
 #: Profile span kinds, as stored in the shared-memory ring buffers (see
 #: :class:`_ProfileBuffers`).  ``fork`` and ``compute`` have no ring kind:
@@ -251,19 +251,17 @@ def _attach_shm(name: str):
 class _ShmArena:
     """Host-owned shared-memory segments holding the global input arrays.
 
-    Two ways for a rank to see the arrays: the one-shot backend creates
-    the arena *before* forking so children inherit the mappings directly;
-    a persistent gang (forked before the op existed) instead receives the
-    picklable :meth:`descriptor` and re-attaches by name —
-    :meth:`attach` / :meth:`close` — with tracker registration suppressed.
-    Either way the host stays the sole owner and the only unlinker, on
-    every path up to and including parent death (``register_for_cleanup``).
+    Ranks receive the picklable :meth:`descriptor` in their op command
+    and attach by name — :meth:`attach` / :meth:`close` — with tracker
+    registration suppressed (a warm gang was forked before the op's
+    arena existed).  The host stays the sole owner and the only
+    unlinker, on every path up to and including parent death
+    (``register_for_cleanup``).
     """
 
     def __init__(self, shared: Mapping[str, Any]):
         from multiprocessing import shared_memory
 
-        self._owner = True
         self._meta: dict[str, tuple[Any, tuple, np.dtype]] = {}
         self._segments: list[Any] = []
         for name, arr in shared.items():
@@ -290,7 +288,6 @@ class _ShmArena:
     def attach(cls, desc: Mapping[str, tuple[str | None, tuple, np.dtype]]) -> "_ShmArena":
         """Worker-side view of a host-owned arena (never unlinks)."""
         self = cls.__new__(cls)
-        self._owner = False
         self._meta = {}
         self._segments = []
         for name, (segname, shape, dtype) in desc.items():
@@ -303,7 +300,7 @@ class _ShmArena:
         return self
 
     def views(self) -> dict[str, np.ndarray]:
-        """Numpy views over the segments (call in the child, post-fork)."""
+        """Numpy views over the segments (worker side, after :meth:`attach`)."""
         out: dict[str, np.ndarray] = {}
         for name, (seg, shape, dtype) in self._meta.items():
             if seg is None:
@@ -312,8 +309,8 @@ class _ShmArena:
                 out[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
         return out
 
-    def close(self) -> None:
-        """Drop a non-owning attachment's mappings (worker side).
+    def close(self) -> list:
+        """Drop this process's mappings; returns the closed segments.
 
         ``BufferError`` means a numpy view is still exported; the mapping
         then lives until the worker's next op or exit — harmless, the
@@ -326,19 +323,11 @@ class _ShmArena:
                 seg.close()
             except (OSError, BufferError):
                 pass
+        return segments
 
     def destroy(self) -> None:
         """Close and unlink every segment (host side, exactly once)."""
-        if not self._owner:
-            self.close()
-            return
-        segments, self._segments = self._segments, []
-        self._meta = {}
-        for seg in segments:
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
+        for seg in self.close():
             try:
                 seg.unlink()
             except FileNotFoundError:
@@ -395,7 +384,6 @@ class _ProfileBuffers:
 
         self.nprocs = nprocs
         self.capacity = capacity
-        self._owner = True
         self._shapes = self._layout(nprocs, capacity)
         size = sum(
             int(np.prod(shape)) * np.dtype(dt).itemsize
@@ -429,19 +417,19 @@ class _ProfileBuffers:
         self = cls.__new__(cls)
         self.nprocs = nprocs
         self.capacity = capacity
-        self._owner = False
         self._shapes = cls._layout(nprocs, capacity)
         self._seg = _attach_shm(name)
         return self
 
-    def close(self) -> None:
+    def close(self):
+        """Drop this process's mapping; returns the closed segment."""
         seg, self._seg = self._seg, None
-        if seg is None:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
+        if seg is not None:
+            try:
+                seg.close()
+            except (OSError, BufferError):
+                pass
+        return seg
 
     def _views(self) -> dict[str, np.ndarray]:
         out = {}
@@ -463,20 +451,13 @@ class _ProfileBuffers:
         return {name: arr.copy() for name, arr in self._views().items()}
 
     def destroy(self) -> None:
-        if not self._owner:
-            self.close()
-            return
-        seg, self._seg = self._seg, None
-        if seg is None:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
+        """Close and unlink the segment (host side, exactly once)."""
+        seg = self.close()
+        if seg is not None:
+            try:
+                seg.unlink()
+            except FileNotFoundError:
+                pass
 
     _emergency_cleanup = destroy
 
@@ -570,6 +551,12 @@ class _QueueTransport:
 
     def child_init(self, rank: int) -> "_QueueTransport":
         return self
+
+    def child_flush(self) -> None:
+        """Block until every send this rank queued is in its pipe."""
+        for q in self.mailboxes:
+            q.close()
+            q.join_thread()
 
     # Program sends — profiled sends pre-pickle so serialization time and
     # the exact wire byte volume are charged at the source; the queue then
@@ -675,6 +662,9 @@ class _RingTransport:
         if self._ep is None or self._ep.rank != rank:
             self._ep = self.matrix.endpoint(rank)
         return self
+
+    def child_flush(self) -> None:
+        """Ring sends are copied into shared memory before they return."""
 
     def _progress(self, driver: "_Driver") -> bool:
         """Consume incoming traffic, without blocking, for a stalled send.
@@ -1068,7 +1058,7 @@ class _Driver:
         self._recorder = recorder
         self._ring_wait_fired = False
         #: (epoch, op_id) wire stamp.  Every message carries its sender's
-        #: stamp; the receiver silently drops mismatches.  On a one-shot
+        #: stamp; the receiver silently drops mismatches.  On a one-op
         #: gang the stamp is constant; on a supervised persistent gang it
         #: is what keeps residue from a killed attempt (messages parked in
         #: mailbox pipes when a rank died) from satisfying a receive of
@@ -1243,7 +1233,7 @@ class _Driver:
             )
 
 
-# ------------------------------------------------------------- child entry
+# -------------------------------------------------------------- rank entry
 def _run_program(
     rank: int,
     nprocs: int,
@@ -1263,9 +1253,9 @@ def _run_program(
 ) -> tuple:
     """Execute one SPMD op in the calling rank process.
 
-    The shared core of the one-shot :func:`_child_main` and the
-    supervisor's persistent worker loop.  ``views`` are the rank's numpy
-    views over the arena (inherited or attached — the caller decides),
+    The core of the gang worker loop
+    (:func:`repro.runtime.supervisor._worker_main`).  ``views`` are the
+    rank's numpy views over the attached arena,
     ``rank_args`` is already this rank's own tuple (or ``None``),
     ``transport`` is the fork-shared queue/ring transport (bound to this
     rank here), and ``stamp`` is the ``(epoch, op_id)`` wire stamp for
@@ -1289,8 +1279,8 @@ def _run_program(
     else:
         call_args = ()
     if recorder is not None:
-        # Everything from entry (fork, or op receipt on a warm gang) to
-        # here is shm/argument setup: attaching views, slicing blocks.
+        # Everything from op receipt to here is shm/argument setup:
+        # attaching views, slicing blocks.
         t_ready = monotonic()
         recorder.mark(1, t_ready)
         recorder.span(_PK_SHM, t_entry, t_ready)
@@ -1320,79 +1310,30 @@ def _run_program(
     )
 
 
-def _child_main(
-    rank: int,
-    nprocs: int,
-    spec: MachineSpec,
-    program: Callable,
-    make_rank_args,
-    rank_args,
-    arena: _ShmArena,
-    profile: _ProfileBuffers | None,
-    transport,
-    result_q,
-    want_metrics: bool,
-    want_trace: bool,
-    chaos: tuple[ChaosEvent, ...] = (),
-) -> None:
-    """Entry point of one rank process (fork-inherited closure state)."""
-    t_entry = monotonic()
-    try:
-        # Fork hygiene: drop the layout-layer LRU caches inherited from
-        # the parent — they hold index maps for *every* rank and would
-        # inflate this child's resident memory; the child re-fills only
-        # its own entries (repro.hpf.caches).
-        from ..hpf.caches import clear_layout_caches
-
-        clear_layout_caches()
-        if chaos:
-            fire_chaos(chaos, "spawn")
-        recorder = None
-        if profile is not None:
-            recorder = profile.recorder(rank)
-            recorder.mark(0, t_entry)
-        result, snapshot, metrics, events = _run_program(
-            rank, nprocs, spec, program, make_rank_args,
-            rank_args[rank] if rank_args is not None else None,
-            arena.views(), transport, recorder, want_metrics, want_trace,
-            t_entry=t_entry, chaos=chaos,
-        )
-        if any(ev.kind == "poison" for ev in chaos):
-            # Poisoned result: a truncated message, exercising host-side
-            # validation instead of this rank's execution.
-            result_q.put(("ok", rank))
-        else:
-            result_q.put(("ok", rank, result, snapshot, metrics, events))
-    except BaseException:
-        try:
-            result_q.put(("error", rank, traceback.format_exc()))
-            result_q.close()
-            result_q.join_thread()
-        finally:
-            # Skip normal interpreter teardown: a failing rank must not
-            # hang flushing mailbox messages nobody will ever read.
-            os._exit(_CHILD_FAILED)
-
-
 # ----------------------------------------------------------------- backend
 class MpBackend(Backend):
-    """Run SPMD programs with one OS process per rank (fork + shm + queues).
+    """Run SPMD programs with one OS process per rank: a one-op gang.
+
+    Each :meth:`run_spmd` forks a fresh supervised gang
+    (:mod:`repro.runtime.supervisor`) with retries off, runs the op on it
+    and reaps it as soon as the results are home.  Programs and
+    ``make_rank_args`` closures are frozen for shipping, so their
+    closure state must pickle; anything else is rejected with
+    :class:`~repro.runtime.base.BackendError` before any fork.
 
     Parameters
     ----------
     timeout:
         optional gang wall-clock budget in seconds; on expiry the gang is
-        terminated and :class:`MpGangError` raised.  ``None`` (default)
+        killed and :class:`MpGangError` raised.  ``None`` (default)
         waits indefinitely — the host still detects crashed children.
     join_grace:
-        seconds to wait for a finished child to exit before terminating
-        it (its result is already home by then; stragglers are harmless).
+        seconds to wait for a killed child to be reaped.
     chaos:
         optional :class:`~repro.faults.chaos.ChaosPlan` of real process
-        faults (op 0 events only — the one-shot gang runs one op).  The
-        bare backend does not recover: a killed rank surfaces as
-        :class:`MpGangError` through the normal failure-hygiene paths.
-        Recovery belongs to
+        faults (op 0 events only — the gang runs one op).  The bare
+        backend does not recover: a killed rank surfaces as
+        :class:`MpGangError`.  Recovery belongs to
         :class:`~repro.runtime.supervisor.GangSupervisor`.
     transport:
         ``"ring"`` (default: zero-copy shared-memory ring buffers) or
@@ -1420,201 +1361,18 @@ class MpBackend(Backend):
         self.transport = resolve_transport(transport)
         self.codec = resolve_codec(codec)
 
-    def run_spmd(
-        self,
-        program: Callable,
-        nprocs: int,
-        *,
-        make_rank_args: Callable[[int, Mapping[str, Any]], tuple] | None = None,
-        rank_args: Sequence[tuple] | None = None,
-        shared: Mapping[str, Any] | None = None,
-        spec=None,
-        tracer=None,
-        metrics=None,
-        faults=None,
-        step_budget: int | None = None,
-        time_budget: float | None = None,
-        profile=None,
-    ) -> RunResult:
-        t_host0 = monotonic() if profile is not None else 0.0
-        if make_rank_args is not None and rank_args is not None:
-            raise ValueError("pass make_rank_args or rank_args, not both")
-        if rank_args is not None and len(rank_args) != nprocs:
-            raise ValueError(
-                f"rank_args has {len(rank_args)} entries for {nprocs} ranks"
-            )
-        if nprocs < 1:
-            raise ValueError(f"need at least one processor, got {nprocs}")
-        self.reject_unsupported(faults=faults)
-        if step_budget is not None or time_budget is not None:
-            raise BackendError(
-                "mp backend: watchdog budgets count simulated steps/seconds; "
-                "use MpBackend(timeout=wall_seconds) instead"
-            )
-        if "fork" not in _mp.get_all_start_methods():
-            raise BackendError(
-                "mp backend requires the 'fork' start method (POSIX); "
-                "it is unavailable on this platform"
-            )
-        if metrics is None:
-            from ..obs.registry import current_global_metrics
+    def run_spmd(self, program: Callable, nprocs: int, **options) -> RunResult:
+        """Run ``program`` on a fresh gang; see :meth:`Backend.run_spmd`."""
+        # Deferred import: the supervisor builds on this module's rank side.
+        from .supervisor import RetryPolicy, _OneOpGang
 
-            metrics = current_global_metrics()
-        spec = spec if spec is not None else CM5
-
-        mpctx = _mp.get_context("fork")
-        arena = _ShmArena(shared or {})
-        prof_bufs = None
-        if profile is not None:
-            prof_bufs = _ProfileBuffers(nprocs, profile.ring_capacity)
-        transport = _make_transport(self.transport, mpctx, nprocs, self.codec)
-        result_q = mpctx.Queue()
-        chaos_by_rank = {
-            r: self.chaos.events_for(0, r) for r in range(nprocs)
-        } if self.chaos is not None else {}
-        procs = [
-            mpctx.Process(
-                target=_child_main,
-                args=(
-                    r, nprocs, spec, program, make_rank_args, rank_args,
-                    arena, prof_bufs, transport, result_q,
-                    metrics is not None, tracer is not None,
-                    chaos_by_rank.get(r, ()),
-                ),
-                daemon=True,
-                name=f"repro-mp-rank-{r}",
-            )
-            for r in range(nprocs)
-        ]
-        t_spawn0 = monotonic() if profile is not None else 0.0
-        prof_data = None
-        t_spawned = t_collected = 0.0
-        try:
-            for p in procs:
-                p.start()
-            if profile is not None:
-                t_spawned = monotonic()
-            reports = self._collect(procs, result_q, nprocs)
-            if profile is not None:
-                t_collected = monotonic()
-            for p in procs:
-                p.join(timeout=self.join_grace)
-            if prof_bufs is not None:
-                # Every rank has reported and exited: its rows are final.
-                # Copy before the finally block unlinks the segment.
-                prof_data = prof_bufs.copy_out()
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    # SIGKILL, not SIGTERM: a SIGSTOPped child (chaos, or
-                    # an operator's ^Z) never processes SIGTERM, but KILL
-                    # reaps stopped processes too.
-                    p.kill()
-            for p in procs:
-                p.join(timeout=self.join_grace)
-            arena.destroy()
-            if prof_bufs is not None:
-                prof_bufs.destroy()
-            transport.host_destroy()
-            result_q.close()
-            # Never let host teardown block on unread mailbox residue.
-            result_q.cancel_join_thread()
-
-        results = []
-        stats = []
-        for r in range(nprocs):
-            result, snapshot, child_metrics, child_events = reports[r]
-            results.append(result)
-            stats.append(stats_from_snapshot(snapshot))
-            if metrics is not None and child_metrics is not None:
-                metrics.merge(child_metrics)
-            if tracer is not None and child_events:
-                tracer.events.extend(child_events)
-        run = RunResult(results=results, stats=stats, time_domain=self.time_domain)
-        if profile is not None and prof_data is not None:
-            profile.profile = _build_mp_profile(
-                nprocs, prof_data, run,
-                t_host0, t_spawn0, t_spawned, t_collected, monotonic(),
-                transport=self.transport,
-            )
-        return run
-
-    # ------------------------------------------------------------ gathering
-    def _collect(self, procs, result_q, nprocs: int) -> dict[int, tuple]:
-        """Gather one report per rank, event-driven.
-
-        The parent blocks in one ``connection.wait`` on the result pipe
-        *and* every pending child's exit sentinel, bounded by the gang
-        deadline — no polling loop burning host CPU, and a silent death
-        (killed child, ``os._exit``) wakes the wait immediately instead
-        of on the next poll tick.
-        """
-        deadline = Deadline(self.timeout)
-        pending = set(range(nprocs))
-        reports: dict[int, tuple] = {}
-        reader = getattr(result_q, "_reader", None)
-        while pending:
-            msg = None
-            try:
-                msg = result_q.get_nowait()
-            except _queue_mod.Empty:
-                pass
-            if msg is None:
-                dead = sorted(
-                    r for r in pending if procs[r].exitcode is not None
-                )
-                if dead:
-                    # One more grace read: the child may have exited right
-                    # after posting its result (the feeder thread races
-                    # the exit).
-                    try:
-                        msg = result_q.get(timeout=0.5)
-                    except _queue_mod.Empty:
-                        r = dead[0]
-                        raise MpGangError(
-                            r,
-                            f"process exited with code {procs[r].exitcode} "
-                            f"without reporting a result",
-                        ) from None
-                else:
-                    if deadline.expired():
-                        raise MpGangError(
-                            None, deadline.describe("gang", pending)
-                        )
-                    sentinels = [procs[r].sentinel for r in sorted(pending)]
-                    if reader is not None:
-                        _conn_wait(
-                            [reader, *sentinels],
-                            timeout=(None if deadline.timeout is None
-                                     else deadline.remaining(cap=0.2)),
-                        )
-                    else:
-                        # No readable pipe handle on this Queue flavour:
-                        # degrade to a bounded sleep-poll.
-                        _conn_wait(sentinels, timeout=deadline.remaining(cap=0.05))
-                    continue
-            rank, report = self._validate_report(msg, nprocs)
-            reports[rank] = report
-            pending.discard(rank)
-        return reports
-
-    @staticmethod
-    def _validate_report(msg, nprocs: int) -> tuple[int, tuple]:
-        """Check one result-queue message; raise :class:`MpGangError` on a
-        malformed (poisoned / truncated) one instead of unpacking blind."""
-        if not isinstance(msg, tuple) or len(msg) < 3:
-            rank = msg[1] if isinstance(msg, tuple) and len(msg) > 1 else None
-            rank = rank if isinstance(rank, int) else None
-            raise MpGangError(rank, f"posted a malformed result message: {msg!r}")
-        if msg[0] == "error":
-            _, rank, tb = msg
-            raise MpGangError(rank, "program raised", child_traceback=tb)
-        if msg[0] != "ok" or len(msg) != 6 or not isinstance(msg[1], int) \
-                or not (0 <= msg[1] < nprocs):
-            rank = msg[1] if isinstance(msg[1], int) else None
-            raise MpGangError(rank, f"posted a malformed result message: {msg!r}")
-        _, rank, result, snapshot, child_metrics, child_events = msg
-        return rank, (result, snapshot, child_metrics, child_events)
+        with _OneOpGang(
+            timeout=self.timeout, retry=RetryPolicy(max_retries=0),
+            on_exhaustion="raise", chaos=self.chaos,
+            join_grace=self.join_grace, transport=self.transport,
+            codec=self.codec,
+        ) as gang:
+            return gang.run_spmd(program, nprocs, **options)
 
 
 # ----------------------------------------------------------- profile merge

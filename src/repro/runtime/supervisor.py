@@ -1,28 +1,37 @@
-"""Supervised persistent gangs: warm reuse, failure recovery, degradation.
+"""The one gang host: spawn, dispatch, collect, deadline, chaos and reap.
 
-:class:`~repro.runtime.mp.MpBackend` forks a throwaway gang per call and
-fails fast on any child death.  That is the right *hygiene* baseline,
-but ``BENCH_profile.json`` shows fork/reap/shm lifecycle is about half
-of the mp slowdown at P=8 — and the paper's PACK/UNPACK primitives
-assume a gang of processors that survives the whole computation.
-:class:`GangSupervisor` provides that gang:
+Both process backends run their ranks through this module;
+:mod:`repro.runtime.mp` holds only the rank side (context, driver,
+transports, shared-memory arena, profile buffers).
+
+* ``backend="mp"`` — :class:`~repro.runtime.mp.MpBackend` — is a one-op
+  supervised gang with retries off: every call forks a fresh gang (the op
+  rides the fork), reaps it as soon as the results are home, and raises
+  :class:`~repro.runtime.mp.MpGangError` on the first failure.
+* ``backend="supervised"`` — :class:`GangSupervisor` — keeps the gang
+  alive across ops and recovers from failures.  ``BENCH_profile.json``
+  shows fork/reap/shm lifecycle is about half of the mp slowdown at P=8,
+  and the paper's PACK/UNPACK primitives assume a gang of processors
+  that survives the whole computation.
+
+What the supervisor does:
 
 * **Persistent & warm** — ranks are forked *once* per gang epoch and
   then reused: each worker sits in an op-dispatch loop, receiving
-  ``(epoch, op_id, op)`` commands over a per-rank control queue,
-  attaching the host's shared-memory arena *by name* (the arena did not
-  exist at fork time), running the op through the exact same
-  :func:`~repro.runtime.mp._run_program` core as the one-shot backend,
-  and posting the result home.  A warm dispatch replaces a fork.
-* **Supervised** — every worker runs a daemon heartbeat thread beating a
-  shared-memory board; the host's collect loop multiplexes the result
-  pipe, every child's exit sentinel, the board, and the op wall
-  deadline in one ``connection.wait``.  Failures are *classified*:
-  ``rank_death`` (exit sentinel), ``heartbeat_miss`` (stale board — a
-  SIGSTOPped or livelocked rank), ``op_timeout`` (deadline with fresh
-  heartbeats — a deadlock), ``poisoned_result`` (malformed result
-  message), ``spawn_failure`` (death before ready), and the
-  non-retryable ``program_error`` (the rank itself raised).
+  ``(op_id, op)`` commands over a per-rank control queue, attaching the
+  host's shared-memory arena *by name* (the arena did not exist at fork
+  time), running the op through :func:`~repro.runtime.mp._run_program`,
+  and posting the result home.  A warm dispatch replaces a fork; a gang
+  forked *for* an op gets that op in the fork instead.
+* **Supervised** — every worker runs a heartbeat thread beating a
+  shared-memory board (and exiting if its host has died); the host's one
+  wait loop multiplexes the result pipe, every child's exit sentinel,
+  the board, and the deadlines in one ``connection.wait``.  Failures are
+  *classified*: ``rank_death`` (exit sentinel), ``heartbeat_miss``
+  (stale board — a SIGSTOPped or livelocked rank), ``op_timeout``
+  (deadline with fresh heartbeats — a deadlock), ``poisoned_result``
+  (malformed result message), ``spawn_failure`` (death before ready),
+  and the non-retryable ``program_error`` (the rank itself raised).
 * **Recovering** — on a retryable failure the supervisor reaps the whole
   gang (SIGKILL: stopped ranks can't process SIGTERM), rebuilds it
   under a new epoch, and retries the in-flight op under a seeded
@@ -37,12 +46,14 @@ assume a gang of processors that survives the whole computation.
   the ``"simulated"`` domain) instead of raising; ``"raise"`` (default)
   surfaces :class:`~repro.runtime.mp.MpGangError`.
 
-Because workers are forked *before* an op's callables exist, programs
-and ``make_rank_args`` closures are shipped through the control queue:
-pickled by reference when possible, otherwise frozen as marshalled code
-objects plus recursively-frozen defaults and closure cells and thawed
+Because workers may be forked *before* an op's callables exist,
+programs and ``make_rank_args`` closures are always frozen before
+dispatch: pickled by reference when possible, otherwise marshalled code
+objects plus recursively-frozen defaults and closure cells, thawed
 against the worker's (fork-inherited) module globals — see
-:func:`_freeze_callable`.
+:func:`_freeze_callable`.  Closure state must therefore pickle, on
+``mp`` as on ``supervised``; a closure over e.g. a lock is rejected
+with :class:`~repro.runtime.base.BackendError` before any fork.
 
 Lifecycle events (``rank_death``, ``rebuild``, ``retry``, ``fallback``,
 ``heartbeat_miss``, ...) are appended to :attr:`SupervisorStats.events`,
@@ -58,13 +69,13 @@ exercises exhaustion and fallback deterministically.
 
 from __future__ import annotations
 
+import _thread
 import atexit
 import importlib
 import marshal
 import multiprocessing as _mp
 import os
 import pickle
-import queue as _queue_mod
 import random
 import sys
 import threading
@@ -84,7 +95,6 @@ from ..machine.stats import RunResult, stats_from_snapshot
 from .base import Backend, BackendError, Deadline, resolve_transport
 from ..codecs.wire import resolve_codec
 from .mp import (
-    _CHILD_FAILED,
     MpGangError,
     _build_mp_profile,
     _make_transport,
@@ -102,6 +112,10 @@ __all__ = [
     "default_supervisor",
     "shutdown_default_supervisor",
 ]
+
+#: Worker exit code after a failed op (the traceback was shipped home
+#: first) or on finding its host gone.
+_CHILD_FAILED = 70
 
 
 # ------------------------------------------------------------ retry policy
@@ -203,21 +217,20 @@ class _HeartbeatBoard:
     """One float64 per rank in shared memory: last beat, CLOCK_MONOTONIC.
 
     Created by the host *before* the fork, so workers inherit the mapping
-    and beat it from a daemon thread.  Single-writer per slot; an 8-byte
+    and beat it from a heartbeat thread.  Single-writer per slot; an 8-byte
     aligned store is atomic on every platform we run on.  A SIGSTOPped
     worker freezes all its threads — heartbeat included — which is
     exactly what makes a stopped rank distinguishable from a slow one.
+
+    A slot still at zero means the rank has not beaten yet, i.e. is not
+    ready: the first beat is a rank's proof that it got past spawn.  (A
+    ``ready`` message only wakes a host waiting in ``warm()``.)
     """
 
     def __init__(self, nprocs: int):
-        from multiprocessing import shared_memory
-
         self.nprocs = nprocs
-        self._owner = True
-        self._seg = shared_memory.SharedMemory(create=True, size=8 * nprocs)
-        self._arr = np.ndarray((nprocs,), dtype=np.float64, buffer=self._seg.buf)
-        self._arr[:] = monotonic()
-        register_for_cleanup(self)
+        self._arena = _ShmArena({"beats": np.zeros(nprocs)})
+        self._arr = self._arena.views()["beats"]
 
     def beat(self, rank: int) -> None:
         self._arr[rank] = monotonic()
@@ -226,21 +239,13 @@ class _HeartbeatBoard:
         now = monotonic() if now is None else now
         return [float(now - t) for t in self._arr]
 
+    def unready(self) -> set[int]:
+        """Ranks that have not beaten yet."""
+        return {r for r in range(self.nprocs) if self._arr[r] == 0.0}
+
     def destroy(self) -> None:
         self._arr = None
-        seg, self._seg = self._seg, None
-        if seg is None or not self._owner:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-
-    _emergency_cleanup = destroy
+        self._arena.destroy()
 
 
 # ---------------------------------------------------------- freeze / thaw
@@ -264,8 +269,8 @@ def _freeze_callable(fn: Callable | None):
         pass
     if not isinstance(fn, types.FunctionType):
         raise BackendError(
-            f"supervised gang cannot ship {fn!r}: not picklable and not a "
-            f"plain Python function"
+            f"gang cannot ship {fn!r}: not picklable and not a plain "
+            f"Python function"
         )
     try:
         code = marshal.dumps(fn.__code__)
@@ -278,8 +283,8 @@ def _freeze_callable(fn: Callable | None):
         )
     except Exception as exc:
         raise BackendError(
-            f"supervised gang cannot ship {fn.__qualname__}: closure state "
-            f"is not picklable ({exc})"
+            f"gang cannot ship {fn.__qualname__}: closure state is not "
+            f"picklable ({exc})"
         ) from exc
     return ("code", code, fn.__module__, defaults, kwdefaults, closure)
 
@@ -323,54 +328,80 @@ def _worker_main(
     rank: int,
     nprocs: int,
     epoch: int,
+    host_pid: int,
     ctl_q,
     transport,
     result_q,
     board: _HeartbeatBoard,
-    heartbeat_interval: float,
+    heartbeat_interval: float | None,
     spawn_chaos: tuple[ChaosEvent, ...],
+    first_cmds: Sequence[tuple],
 ) -> None:
-    """Persistent rank process: heartbeat + op-dispatch loop.
+    """Rank process: heartbeat + op-dispatch loop.
 
     Per-gang state (queues, transport, board) is fork-inherited; per-op
     state (arena, profile buffers, the program itself) arrives in the op
-    command and is attached by name / thawed here.  Exits only on a
-    ``shutdown`` command, an op error (after shipping the traceback), or
-    a signal.
+    command and is attached by name / thawed here.  A gang forked *for*
+    an op gets that op in the fork (``first_cmds``) instead of through
+    the control queue, so a cold op costs no extra host round trip; a
+    one-op gang's ``first_cmds`` end in ``shutdown``, and it has neither
+    a control queue nor a heartbeat (``heartbeat_interval=None``).
+    Exits on a ``shutdown`` command, an op error (after shipping the
+    traceback), a signal, or when its host is gone.
+
+    A thread started right after the fork costs the rank a wait for a
+    CPU its fresh peers compete for, so the cold path starts none it can
+    avoid: ``result_q`` is a SimpleQueue (synchronous puts, no feeder
+    thread), and ``ready`` is the rank's first beat, backed by a message
+    only when no op rode the fork to wake the host.
     """
-    # Fork hygiene, as in MpBackend's _child_main: the parent's layout
-    # LRU caches cover every rank; this worker only needs its own.
+    # Fork hygiene: the parent's layout LRU caches cover every rank; this
+    # worker only needs its own (repro.hpf.caches).
     from ..hpf.caches import clear_layout_caches
 
     clear_layout_caches()
-    stop = threading.Event()
-
-    def _beat():
-        while not stop.is_set():
-            board.beat(rank)
-            stop.wait(heartbeat_interval)
-
-    threading.Thread(target=_beat, daemon=True, name="heartbeat").start()
     if spawn_chaos:
         fire_chaos(spawn_chaos, "spawn")
-    result_q.put(("ready", rank, epoch))
+    board.beat(rank)
+    if not first_cmds:
+        result_q.put(("ready", rank, epoch))
+
+    def _beat():
+        while True:
+            if os.getppid() != host_pid:
+                # Orphaned: the host died without reaping us (SIGKILL
+                # runs no cleanup hook).  Exiting lets the host's
+                # resource tracker, which waits on every holder of its
+                # pipe, unlink the segments the host left behind.
+                os._exit(_CHILD_FAILED)
+            board.beat(rank)
+            time.sleep(heartbeat_interval)
+
+    if heartbeat_interval is not None:
+        # Unlike threading.Thread.start, this does not wait for the thread
+        # to be scheduled; the thread dies with the process.
+        _thread.start_new_thread(_beat, ())
     # Per-op shm (arena, profile rings) must NOT be closed when the op
-    # finishes: queue feeder threads pickle outgoing messages (mailbox
-    # payloads sliced from arena views, the result blob) asynchronously,
-    # and ``SharedMemory.close()`` unmaps even under live numpy views —
+    # finishes: the queue transport's feeder threads pickle mailbox
+    # payloads sliced from arena views asynchronously, and
+    # ``SharedMemory.close()`` unmaps even under live numpy views —
     # the race is a feeder-thread segfault.  By the time the *next*
     # command arrives the host has collected every rank's result, which
     # means every message of the previous op was received, i.e. fully
     # serialized — only then is unmapping safe.
     deferred_close: list[Any] = []
+    cmds = list(first_cmds)
     while True:
-        cmd = ctl_q.get()
-        for res in deferred_close:
-            res.close()
-        deferred_close = []
+        if cmds:
+            cmd = cmds.pop(0)
+        else:
+            cmd = ctl_q.get()
+            for res in deferred_close:
+                res.close()
+            deferred_close = []
         if cmd[0] == "shutdown":
             break
-        _, cmd_epoch, op_id, op = cmd
+        _, op_id, op = cmd
         t_entry = monotonic()
         arena = None
         prof = None
@@ -389,28 +420,23 @@ def _worker_main(
                 op["rank_args"],
                 arena.views(), transport, recorder,
                 op["want_metrics"], op["want_trace"],
-                t_entry=t_entry, stamp=(cmd_epoch, op_id), chaos=chaos,
+                t_entry=t_entry, stamp=(epoch, op_id), chaos=chaos,
             )
             if any(ev.kind == "poison" for ev in chaos):
-                result_q.put(("ok", rank, cmd_epoch))
+                # Poisoned result: a truncated message, exercising the
+                # host's validation instead of this rank's execution.
+                result_q.put(("ok", rank, epoch))
             else:
-                # Serialize NOW, in this thread, while the arena is still
-                # mapped: the queue feeder pickles asynchronously, and the
-                # ``finally`` below closes (unmaps) the per-op segments —
-                # a result referencing arena-backed memory would otherwise
-                # race the feeder straight into a segfault.
+                # Pickled apart from the envelope, so the host can pin an
+                # undecodable result on its rank.
                 blob = pickle.dumps(
                     (result, snapshot, metrics, events),
                     pickle.HIGHEST_PROTOCOL,
                 )
-                result_q.put(("ok", rank, cmd_epoch, op_id, blob))
+                result_q.put(("ok", rank, epoch, op_id, blob))
         except BaseException:
             try:
-                result_q.put((
-                    "error", rank, cmd_epoch, op_id, traceback.format_exc(),
-                ))
-                result_q.close()
-                result_q.join_thread()
+                result_q.put(("error", rank, epoch, op_id, traceback.format_exc()))
             finally:
                 os._exit(_CHILD_FAILED)
         finally:
@@ -418,11 +444,11 @@ def _worker_main(
                 deferred_close.append(arena)
             if prof is not None:
                 deferred_close.append(prof)
-    stop.set()
-    result_q.close()
-    result_q.join_thread()
-    # Skip interpreter teardown: atexit hooks and queue flushing belong
-    # to the parent; a worker's job ends here.
+    # On a one-op gang a peer may still be waiting for a mailbox message
+    # this rank queued, and the feeder may still have to pickle it out of
+    # the arena: flush while the per-op shm is mapped, then skip
+    # interpreter teardown (atexit hooks belong to the parent).
+    transport.child_flush()
     os._exit(0)
 
 
@@ -430,11 +456,10 @@ def _worker_main(
 class _Gang:
     """One epoch of worker processes and their fork-shared plumbing."""
 
-    def __init__(self, epoch: int, nprocs: int, mpctx, procs, ctl, transport,
+    def __init__(self, epoch: int, nprocs: int, procs, ctl, transport,
                  result_q, board: _HeartbeatBoard):
         self.epoch = epoch
         self.nprocs = nprocs
-        self.mpctx = mpctx
         self.procs = procs
         self.ctl = ctl
         self.transport = transport
@@ -446,7 +471,9 @@ class _Gang:
         return all(p.is_alive() for p in self.procs)
 
     def reap(self, join_grace: float, graceful: bool) -> None:
-        if graceful and self.healthy():
+        # A graceful stop asks each rank over its control queue; a one-op
+        # gang has none, so it is always killed.
+        if graceful and self.ctl and self.healthy():
             for q in self.ctl:
                 try:
                     q.put(("shutdown",))
@@ -466,12 +493,13 @@ class _Gang:
             self.transport.host_destroy()
         except (OSError, ValueError):
             pass
-        for q in [*self.ctl, self.result_q]:
+        for q in self.ctl:
             try:
                 q.close()
                 q.cancel_join_thread()
             except (OSError, ValueError):
                 pass
+        self.result_q.close()
 
     def _emergency_cleanup(self) -> None:
         for p in self.procs:
@@ -537,11 +565,12 @@ class GangSupervisor(Backend):
         optional :class:`~repro.faults.chaos.ChaosPlan`; events are
         delivered at most ``times`` attempts each (see module docstring).
     join_grace:
-        seconds to wait for exits before escalating, as in MpBackend.
+        seconds to wait for exits before escalating to SIGKILL.
     transport / codec:
         message transport (``"ring"`` / ``"queue"``) and wire codec mode,
-        resolved exactly as in :class:`~repro.runtime.mp.MpBackend` —
-        each gang epoch gets its own ring matrix, torn down on reap.
+        resolved by :func:`~repro.runtime.base.resolve_transport` and
+        :func:`~repro.codecs.wire.resolve_codec` — each gang epoch gets
+        its own ring matrix, torn down on reap.
 
     A supervisor instance is a context manager; :meth:`shutdown` reaps
     the gang.  The process-wide instance behind ``backend="supervised"``
@@ -551,6 +580,8 @@ class GangSupervisor(Backend):
     name = "supervised"
     time_domain = "wall"
     supports_faults = False
+    #: Whether the gang outlives an op (see :class:`_OneOpGang`).
+    persistent = True
 
     def __init__(
         self,
@@ -627,11 +658,17 @@ class GangSupervisor(Backend):
         return self._closed
 
     def warm(self, nprocs: int) -> None:
-        """Pre-fork the gang so the first op dispatches warm."""
+        """Pre-fork the gang and wait for it, so the first op dispatches warm."""
         if self._closed:
             raise RuntimeError("GangSupervisor is closed; create a new one")
         with self._dispatch_lock:
-            self._ensure_gang(nprocs, op_index=self.stats.ops)
+            gang = self._live_gang(nprocs) or self._spawn(nprocs, self.stats.ops)
+            try:
+                self._wait(gang)
+            except _OpFailure as failure:
+                self._gang = None
+                gang.reap(self.join_grace, graceful=False)
+                raise MpGangError(failure.rank, failure.detail) from None
 
     # --------------------------------------------------------------- events
     def _event(self, kind: str, op_id: int | None = None,
@@ -646,46 +683,58 @@ class GangSupervisor(Backend):
         return ev
 
     # ----------------------------------------------------------- gang build
-    def _ensure_gang(self, nprocs: int, op_index: int) -> _Gang:
+    def _live_gang(self, nprocs: int) -> _Gang | None:
+        """The current gang if it can take an op of ``nprocs`` ranks.
+
+        Otherwise reap it — one warm gang at a time, so a different width
+        rebuilds cold, as does a gang that died between ops (e.g. after a
+        program error) — and return ``None``.
+        """
         gang = self._gang
-        if gang is not None and gang.nprocs != nprocs:
-            # One warm gang at a time; a different width rebuilds cold.
-            gang.reap(self.join_grace, graceful=True)
-            gang = self._gang = None
-        if gang is not None and gang.healthy():
+        if gang is None or (gang.nprocs == nprocs and gang.healthy()):
             return gang
-        if gang is not None:
-            # Died between ops (e.g. a program error last op).
-            gang.reap(self.join_grace, graceful=False)
-            self._gang = None
-        epoch = self._next_epoch
-        self._next_epoch += 1
+        self._gang = None
+        gang.reap(self.join_grace, graceful=True)
+        return None
+
+    def _spawn(self, nprocs: int, op_index: int,
+               first_cmds: Sequence[Sequence[tuple]] | None = None) -> _Gang:
+        """Fork a new gang epoch; ``first_cmds[r]`` ride rank ``r``'s fork.
+
+        Returns as soon as the ranks are started; :meth:`_wait` awaits
+        their readiness, together with the first op's results if any.
+        """
         if "fork" not in _mp.get_all_start_methods():
             raise BackendError(
-                "supervised backend requires the 'fork' start method (POSIX)"
+                f"{self.name} backend requires the 'fork' start method (POSIX)"
             )
+        epoch = self._next_epoch
+        self._next_epoch += 1
         mpctx = _mp.get_context("fork")
         board = _HeartbeatBoard(nprocs)
         transport = _make_transport(self.transport, mpctx, nprocs, self.codec)
-        ctl = [mpctx.Queue() for _ in range(nprocs)]
-        result_q = mpctx.Queue()
+        # A one-op gang's ranks exit after the op that rode the fork: no
+        # control queues.
+        ctl = [mpctx.Queue() for _ in range(nprocs)] if self.persistent else []
+        result_q = mpctx.SimpleQueue()
         procs = [
             mpctx.Process(
                 target=_worker_main,
-                args=(r, nprocs, epoch, ctl[r], transport, result_q, board,
-                      self.heartbeat_interval,
-                      self._chaos.take(op_index, r, spawn=True)),
+                args=(r, nprocs, epoch, os.getpid(),
+                      ctl[r] if ctl else None, transport, result_q, board,
+                      self.heartbeat_interval if self.persistent else None,
+                      self._chaos.take(op_index, r, spawn=True),
+                      first_cmds[r] if first_cmds is not None else ()),
                 daemon=True,
                 name=f"repro-mp-rank-{r}-e{epoch}",
             )
             for r in range(nprocs)
         ]
-        gang = _Gang(epoch, nprocs, mpctx, procs, ctl, transport, result_q, board)
+        gang = _Gang(epoch, nprocs, procs, ctl, transport, result_q, board)
         self._event("gang_start", detail=f"epoch {epoch}, P={nprocs}")
         try:
             for p in procs:
                 p.start()
-            self._await_ready(gang)
         except BaseException:
             gang.reap(self.join_grace, graceful=False)
             raise
@@ -694,46 +743,6 @@ class GangSupervisor(Backend):
         if self._metrics is not None:
             self._metrics.set("supervisor.gang_epoch", epoch)
         return gang
-
-    def _await_ready(self, gang: _Gang) -> None:
-        deadline = monotonic() + self.spawn_timeout
-        pending = set(range(gang.nprocs))
-        reader = getattr(gang.result_q, "_reader", None)
-        while pending:
-            msg = None
-            try:
-                msg = gang.result_q.get_nowait()
-            except _queue_mod.Empty:
-                pass
-            except Exception:
-                msg = None
-            if msg is None:
-                dead = sorted(
-                    r for r in pending if gang.procs[r].exitcode is not None
-                )
-                if dead:
-                    r = dead[0]
-                    raise _OpFailure(
-                        "spawn_failure", r,
-                        f"rank {r} exited with code {gang.procs[r].exitcode} "
-                        f"before reporting ready",
-                    )
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    raise _OpFailure(
-                        "spawn_failure", sorted(pending)[0],
-                        f"gang not ready within {self.spawn_timeout:g}s "
-                        f"(ranks still pending: {sorted(pending)})",
-                    )
-                sentinels = [gang.procs[r].sentinel for r in sorted(pending)]
-                wait_for = ([reader] if reader is not None else []) + sentinels
-                _conn_wait(wait_for, timeout=min(remaining, 0.5))
-                continue
-            if (isinstance(msg, tuple) and len(msg) == 3
-                    and msg[0] == "ready" and msg[2] == gang.epoch):
-                pending.discard(msg[1])
-            else:
-                self.stats.stale_dropped += 1
 
     # -------------------------------------------------------------- run_spmd
     def run_spmd(
@@ -763,21 +772,16 @@ class GangSupervisor(Backend):
         self.reject_unsupported(faults=faults)
         if step_budget is not None or time_budget is not None:
             raise BackendError(
-                "supervised backend: watchdog budgets count simulated "
-                "steps/seconds; use GangSupervisor(timeout=wall_seconds)"
+                f"{self.name} backend: watchdog budgets count simulated "
+                f"steps/seconds; give the backend a wall-clock timeout= instead"
             )
         if metrics is None:
             from ..obs.registry import current_global_metrics
 
             metrics = current_global_metrics()
         spec = spec if spec is not None else CM5
-        if self._closed:
-            raise RuntimeError(
-                "GangSupervisor is closed; ops submitted after close() "
-                "are refused (create a new supervisor)"
-            )
         with self._dispatch_lock:
-            # Re-check under the lock: a close() racing this submission
+            # Checked under the lock: a close() racing this submission
             # must not revive the gang.
             if self._closed:
                 raise RuntimeError(
@@ -793,7 +797,9 @@ class GangSupervisor(Backend):
         self, program, nprocs, make_rank_args, rank_args, shared, spec,
         tracer, metrics, profile,
     ) -> RunResult:
-        self._metrics = metrics
+        # supervisor.* counters describe a long-lived gang; a one-op gang
+        # leaves the caller's registry as the op itself wrote it.
+        self._metrics = metrics if self.persistent else None
 
         op_index = self.stats.ops
         op_id = self._next_op_id
@@ -818,21 +824,8 @@ class GangSupervisor(Backend):
                                f"{attempt + 1}/{len(delays)}"))
                     time.sleep(delay)
                 try:
-                    was_warm = self._gang is not None and self._gang.healthy() \
-                        and self._gang.nprocs == nprocs
-                    gang = self._ensure_gang(nprocs, op_index)
-                    if attempt > 0:
-                        self.stats.retries += 1
-                        lifecycle.append(self._event(
-                            "retry", op_id=op_id,
-                            detail=f"attempt {attempt + 1}/{len(delays)} on "
-                                   f"epoch {gang.epoch}"))
-                    if was_warm:
-                        self.stats.warm_ops += 1
-                    else:
-                        self.stats.cold_ops += 1
                     return self._run_once(
-                        gang, op_index, op_id, attempt, frozen,
+                        nprocs, op_index, op_id, attempt, frozen,
                         rank_args, shared, tracer, metrics, profile,
                         lifecycle,
                     )
@@ -874,10 +867,13 @@ class GangSupervisor(Backend):
                     shared=shared, spec=spec, tracer=tracer, metrics=metrics,
                     profile=profile,
                 )
+            detail = last_failure.detail
+            if self.retry.max_retries > 0:
+                detail = (f"retry budget exhausted after {len(delays)} "
+                          f"attempts; last failure: {last_failure.kind}: "
+                          f"{detail}")
             raise MpGangError(
-                last_failure.rank,
-                f"retry budget exhausted after {len(delays)} attempts; "
-                f"last failure: {last_failure.kind}: {last_failure.detail}",
+                last_failure.rank, detail,
                 child_traceback=last_failure.child_traceback,
             )
         finally:
@@ -885,33 +881,49 @@ class GangSupervisor(Backend):
 
     # -------------------------------------------------------------- one try
     def _run_once(
-        self, gang: _Gang, op_index: int, op_id: int, attempt: int,
+        self, nprocs: int, op_index: int, op_id: int, attempt: int,
         frozen: dict, rank_args, shared, tracer, metrics, profile,
         lifecycle: list[SupervisorEvent],
     ) -> RunResult:
-        nprocs = gang.nprocs
         t_attempt0 = monotonic()
         arena = _ShmArena(shared or {})
         prof_bufs = None
         if profile is not None:
             prof_bufs = _ProfileBuffers(nprocs, profile.ring_capacity)
         prof_data = None
-        t_dispatch0 = t_dispatched = t_collected = 0.0
         try:
-            arena_desc = arena.descriptor()
-            prof_desc = prof_bufs.descriptor() if prof_bufs is not None else None
-            t_dispatch0 = monotonic()
-            for r in range(nprocs):
-                gang.ctl[r].put(("op", gang.epoch, op_id, {
+            cmds = [
+                ("op", op_id, {
                     **frozen,
                     "rank_args": tuple(rank_args[r]) if rank_args is not None else None,
-                    "arena": arena_desc,
-                    "profile": prof_desc,
+                    "arena": arena.descriptor(),
+                    "profile": prof_bufs.descriptor() if prof_bufs is not None else None,
                     "chaos": self._chaos.take(op_index, r, spawn=False),
-                }))
+                })
+                for r in range(nprocs)
+            ]
+            gang = self._live_gang(nprocs)
+            t_dispatch0 = monotonic()
+            if gang is not None:
+                self.stats.warm_ops += 1
+                for r in range(nprocs):
+                    gang.ctl[r].put(cmds[r])
+            else:
+                self.stats.cold_ops += 1
+                tail = [] if self.persistent else [("shutdown",)]
+                gang = self._spawn(
+                    nprocs, op_index, first_cmds=[[cmd, *tail] for cmd in cmds])
             t_dispatched = monotonic()
-            reports = self._collect_op(gang, op_id)
+            if attempt > 0:
+                self.stats.retries += 1
+                lifecycle.append(self._event(
+                    "retry", op_id=op_id,
+                    detail=f"attempt {attempt + 1} on epoch {gang.epoch}"))
+            reports = self._wait(gang, op_id)
             t_collected = monotonic()
+            if not self.persistent:
+                self._gang = None
+                gang.reap(self.join_grace, graceful=False)
             if prof_bufs is not None:
                 prof_data = prof_bufs.copy_out()
         finally:
@@ -940,124 +952,147 @@ class GangSupervisor(Backend):
                 transport=self.transport,
             )
             prof.backend = self.name
-            # Lifecycle spans: clamp into the final attempt's window (the
-            # Chrome-trace schema refuses negative timestamps; a failed
-            # earlier attempt predates this attempt's origin).
-            for ev in lifecycle:
-                t = max(ev.t - t_attempt0, 0.0)
-                prof.gang_spans.append((f"supervisor.{ev.kind}", t, t))
+            if self.persistent:
+                # Lifecycle spans: clamp into the final attempt's window
+                # (the Chrome-trace schema refuses negative timestamps; a
+                # failed earlier attempt predates this attempt's origin).
+                for ev in lifecycle:
+                    t = max(ev.t - t_attempt0, 0.0)
+                    prof.gang_spans.append((f"supervisor.{ev.kind}", t, t))
             profile.profile = prof
         return run
 
-    # ---------------------------------------------------------- collect one
-    def _collect_op(self, gang: _Gang, op_id: int) -> dict[int, tuple]:
-        deadline = Deadline(self.timeout)
-        pending = set(range(gang.nprocs))
+    # ------------------------------------------------------------- wait loop
+    def _wait(self, gang: _Gang, op_id: int | None = None) -> dict[int, tuple]:
+        """The one host wait loop: until every rank of ``gang`` is ready
+        (has beaten the board) and, for an op, has reported its result.
+
+        One ``connection.wait`` multiplexes the result pipe and every
+        owing rank's exit sentinel, woken at least every heartbeat
+        interval to read the board and the deadlines — no polling loop
+        burning host CPU, and a silent death wakes it at once.  Failures
+        are classified: death before ready is ``spawn_failure``, after it
+        ``rank_death``; a stale heartbeat on a rank owing a result is
+        ``heartbeat_miss``; an expired op deadline ``op_timeout``, an
+        expired spawn deadline ``spawn_failure``; a malformed message
+        ``poisoned_result``; a rank that raised ``program_error``.
+        """
+        pending = set(range(gang.nprocs)) if op_id is not None else set()
+        op_deadline = Deadline(self.timeout if op_id is not None else None)
+        spawn_deadline = Deadline(self.spawn_timeout)
         reports: dict[int, tuple] = {}
-        reader = getattr(gang.result_q, "_reader", None)
-        while pending:
-            msg = None
-            got = True
-            try:
-                msg = gang.result_q.get_nowait()
-            except _queue_mod.Empty:
-                got = False
-            except Exception as exc:
-                # A rank killed mid-write can corrupt the stream; treat it
-                # like a poisoned message from an unknown rank.
-                raise _OpFailure(
-                    "poisoned_result", None,
-                    f"result stream corrupted: {exc!r}") from None
-            if not got:
-                now = monotonic()
-                dead = sorted(
-                    r for r in pending if gang.procs[r].exitcode is not None
-                )
-                if dead:
-                    # Grace drain: the rank may have posted before dying.
-                    try:
-                        msg = gang.result_q.get(timeout=0.5)
-                    except (_queue_mod.Empty, Exception):
-                        msg = None
-                    if msg is None:
-                        r = dead[0]
-                        raise _OpFailure(
-                            "rank_death", r,
-                            f"rank {r} exited with code "
-                            f"{gang.procs[r].exitcode} mid-op")
-                else:
-                    ages = gang.board.ages(now)
-                    stale = [
-                        r for r in sorted(pending)
-                        if ages[r] > self.heartbeat_timeout
-                        and gang.procs[r].is_alive()
-                    ]
-                    if stale:
-                        r = stale[0]
-                        raise _OpFailure(
-                            "heartbeat_miss", r,
-                            f"rank {r} heartbeat stale for {ages[r]:.2f}s "
-                            f"(> {self.heartbeat_timeout:g}s): hung or stopped")
-                    if deadline.expired():
-                        raise _OpFailure(
-                            "op_timeout", None,
-                            deadline.describe(f"op {op_id}", pending))
-                    wake = self.heartbeat_interval
-                    if deadline.timeout is not None:
-                        wake = max(deadline.remaining(cap=wake), 0.01)
-                    sentinels = [gang.procs[r].sentinel for r in sorted(pending)]
-                    wait_for = ([reader] if reader is not None else []) + sentinels
-                    _conn_wait(wait_for, timeout=wake)
+        while pending or gang.board.unready():
+            if gang.result_q.empty():
+                msg = self._idle(gang, pending, op_id, op_deadline, spawn_deadline)
+                if msg is None:
                     continue
-            if msg is None:
-                continue
-            kind, rank, report = self._validate_result(gang, op_id, msg)
-            if kind == "stale":
-                self.stats.stale_dropped += 1
-                continue
-            if kind == "error":
+            else:
+                try:
+                    msg = gang.result_q.get()
+                except Exception as exc:
+                    # A rank killed mid-write can corrupt the stream; treat
+                    # it like a poisoned message from an unknown rank.
+                    raise _OpFailure(
+                        "poisoned_result", None,
+                        f"result stream corrupted: {exc!r}") from None
+            kind, rank, report = self._classify(gang, op_id, msg)
+            if kind == "ok":
+                reports[rank] = report
+                pending.discard(rank)
+            elif kind == "error":
                 raise _OpFailure(
                     "program_error", rank, "program raised",
                     child_traceback=report)
-            reports[rank] = report
-            pending.discard(rank)
+            elif kind == "stale":
+                self.stats.stale_dropped += 1
         return reports
 
-    def _validate_result(self, gang: _Gang, op_id: int, msg):
-        """Classify one result message: ok / error / stale, or fail poisoned."""
-        if not isinstance(msg, tuple) or len(msg) < 3:
-            rank = msg[1] if isinstance(msg, tuple) and len(msg) > 1 \
-                and isinstance(msg[1], int) else None
-            raise _OpFailure(
-                "poisoned_result", rank,
-                f"malformed result message: {msg!r}")
-        kind = msg[0]
-        if kind == "ready":
-            return ("stale", None, None)
-        if kind == "error" and len(msg) == 5:
-            _, rank, epoch, msg_op, tb = msg
-            if epoch != gang.epoch or msg_op != op_id:
-                return ("stale", None, None)
-            return ("error", rank, tb)
-        if kind == "ok" and len(msg) == 5 and isinstance(msg[1], int) \
-                and 0 <= msg[1] < gang.nprocs:
-            _, rank, epoch, msg_op, blob = msg
-            if epoch != gang.epoch or msg_op != op_id:
-                return ("stale", None, None)
+    def _idle(self, gang: _Gang, pending: set[int], op_id: int | None,
+              op_deadline: Deadline, spawn_deadline: Deadline):
+        """Nothing to read: raise on a detected failure, else block until
+        something may have changed.  Returns a message that arrived
+        during a dead rank's grace read, or ``None``."""
+        unready = gang.board.unready()
+        owing = sorted(unready | pending)
+        dead = [r for r in owing if gang.procs[r].exitcode is not None]
+        if dead:
+            # Grace read: the rank may have posted just before dying.
             try:
-                report = pickle.loads(blob)
-            except Exception as exc:
+                if gang.result_q._reader.poll(0.5):
+                    return gang.result_q.get()
+            except Exception:
+                pass
+            r = dead[0]
+            raise _OpFailure(
+                "spawn_failure" if r in unready else "rank_death", r,
+                f"rank {r} exited with code {gang.procs[r].exitcode} "
+                f"without reporting a result")
+        # A one-op gang runs no heartbeat; its op deadline bounds a hang.
+        beating = pending - unready if self.persistent else set()
+        ages = gang.board.ages()
+        for r in sorted(beating):
+            if ages[r] > self.heartbeat_timeout and gang.procs[r].is_alive():
                 raise _OpFailure(
-                    "poisoned_result", rank,
-                    f"undecodable result payload: {exc!r}") from None
-            return ("ok", rank, report)
-        if kind == "ok" and len(msg) == 3 and isinstance(msg[1], int) \
-                and msg[2] != gang.epoch:
-            return ("stale", None, None)
-        rank = msg[1] if len(msg) > 1 and isinstance(msg[1], int) else None
+                    "heartbeat_miss", r,
+                    f"rank {r} heartbeat stale for {ages[r]:.2f}s "
+                    f"(> {self.heartbeat_timeout:g}s): hung or stopped")
+        if pending and op_deadline.expired():
+            raise _OpFailure(
+                "op_timeout", None, op_deadline.describe(f"op {op_id}", pending))
+        wake = op_deadline.remaining(cap=self.heartbeat_interval)
+        if unready:
+            if spawn_deadline.expired():
+                raise _OpFailure(
+                    "spawn_failure", min(unready),
+                    f"gang not ready within {self.spawn_timeout:g}s "
+                    f"(ranks still pending: {sorted(unready)})")
+            wake = min(wake, spawn_deadline.remaining(cap=wake))
+        sentinels = [gang.procs[r].sentinel for r in owing]
+        _conn_wait([gang.result_q._reader, *sentinels], timeout=max(wake, 0.01))
+        return None
+
+    @staticmethod
+    def _classify(gang: _Gang, op_id: int | None, msg):
+        """Sort one result message into ready / ok / error / stale; fail
+        the op as ``poisoned_result`` on a malformed one."""
+        if (isinstance(msg, tuple) and len(msg) >= 3
+                and isinstance(msg[1], int) and 0 <= msg[1] < gang.nprocs):
+            kind, rank, epoch = msg[:3]
+            if epoch != gang.epoch:
+                return ("stale", None, None)
+            if kind == "ready" and len(msg) == 3:
+                return ("ready", rank, None)
+            if kind in ("ok", "error") and len(msg) == 5:
+                if msg[3] != op_id:
+                    return ("stale", None, None)
+                if kind == "error":
+                    return ("error", rank, msg[4])
+                try:
+                    return ("ok", rank, pickle.loads(msg[4]))
+                except Exception as exc:
+                    raise _OpFailure(
+                        "poisoned_result", rank,
+                        f"undecodable result payload: {exc!r}") from None
+        rank = msg[1] if isinstance(msg, tuple) and len(msg) > 1 \
+            and isinstance(msg[1], int) else None
         raise _OpFailure(
-            "poisoned_result", rank,
-            f"malformed result message: {msg!r}")
+            "poisoned_result", rank, f"malformed result message: {msg!r}")
+
+
+class _OneOpGang(GangSupervisor):
+    """:class:`~repro.runtime.mp.MpBackend`'s runtime: a gang for one op.
+
+    The op rides the fork, followed by ``shutdown``, so the ranks need no
+    control queue and exit as soon as they have reported; the host reaps
+    the gang inside the op, so a profile's ``reap`` span measures the
+    real teardown.  The ranks run no heartbeat thread (a thread started
+    right after the fork costs every cold op a CPU wait; the op deadline
+    bounds a hang instead), and lifecycle spans and ``supervisor.*``
+    counters are left out: they describe a long-lived supervisor.
+    """
+
+    name = "mp"
+    persistent = False
 
 
 # ------------------------------------------------------- default instance
