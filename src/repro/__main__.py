@@ -619,7 +619,7 @@ def cmd_conform(args) -> int:
             for path in sorted(Path(args.corpus).glob("*.json")):
                 case, bug = load_corpus_case(path)
                 results.append((path, bug, cross_check_case(case)))
-            label = "sim+mp cross-check"
+            label = "sim+mp+supervised cross-check"
         elif args.plan_cache == "on":
             # Replay twice through one shared cache: pass 1 compiles the
             # plans, pass 2 must replay them (hits > 0, same oracle
@@ -1151,13 +1151,17 @@ def main(argv=None) -> int:
     p_conform.add_argument("--corpus",
                            help="also replay every *.json regression corpus "
                                 "entry in this directory")
-    p_conform.add_argument("--backend", default="sim", choices=("sim", "mp"),
+    p_conform.add_argument("--backend", default="sim",
+                           choices=("sim", "mp", "supervised"),
                            help="execution backend for the corpus replay "
-                                "(the fuzz loop always runs on 'sim')")
+                                "(the fuzz loop always runs on 'sim'); "
+                                "'supervised' replays every entry through "
+                                "one warm gang")
     p_conform.add_argument("--cross-check", action="store_true",
                            dest="cross_check",
                            help="replay the corpus on every backend "
-                                "(sim and mp) instead of just --backend")
+                                "(sim, mp and supervised) instead of just "
+                                "--backend")
     p_conform.add_argument("--plan-cache", default="off",
                            choices=("on", "off"), dest="plan_cache",
                            help="replay the corpus twice through one shared "

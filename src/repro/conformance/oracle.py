@@ -101,10 +101,12 @@ def run_case(
 
 
 def cross_check_case(
-    case: ConformanceCase, backends=("sim", "mp"), plan_cache=None
+    case: ConformanceCase, backends=("sim", "mp", "supervised"),
+    plan_cache=None,
 ) -> CaseOutcome:
     """Differential backend mode: the case must pass the oracle on every
-    backend.
+    backend (by default the simulator, a one-op ``mp`` gang and the warm
+    ``supervised`` gang).
 
     The oracle's comparison is bit-exact against the one serial reference,
     so two backends that both pass are transitively bit-identical to each

@@ -55,7 +55,7 @@ and the metrics registry all work unchanged, just in a different
 ``time_domain`` (``"wall"``).
 
 This module is the *rank side* — context, driver, transports, the
-shared-memory arena and the profile buffers.  The one gang host (fork,
+gang's shared-memory boxes and the profile buffers.  The one gang host (fork,
 dispatch, collect, deadline, chaos delivery, reap) lives in
 :mod:`repro.runtime.supervisor`; :class:`MpBackend` is a thin backend
 over it that runs each op on a fresh one-op gang with retries off.
@@ -249,12 +249,10 @@ def _attach_shm(name: str):
 
 # --------------------------------------------------------------------- shm
 class _ShmArena:
-    """Host-owned shared-memory segments holding the global input arrays.
+    """Host-owned shared-memory segments holding named numpy arrays.
 
-    Ranks receive the picklable :meth:`descriptor` in their op command
-    and attach by name — :meth:`attach` / :meth:`close` — with tracker
-    registration suppressed (a warm gang was forked before the op's
-    arena existed).  The host stays the sole owner and the only
+    Created before the fork, so ranks inherit the mapping (the gang's
+    heartbeat board is one).  The host stays the sole owner and the only
     unlinker, on every path up to and including parent death
     (``register_for_cleanup``).
     """
@@ -267,8 +265,7 @@ class _ShmArena:
         for name, arr in shared.items():
             arr = np.ascontiguousarray(arr)
             if arr.nbytes == 0:
-                # Zero-extent arrays (empty masks, empty vectors) need no
-                # segment; children rebuild them from shape and dtype.
+                # Zero-extent arrays need no segment.
                 self._meta[name] = (None, arr.shape, arr.dtype)
                 continue
             seg = shared_memory.SharedMemory(create=True, size=arr.nbytes)
@@ -277,30 +274,8 @@ class _ShmArena:
             self._meta[name] = (seg, arr.shape, arr.dtype)
         register_for_cleanup(self)
 
-    def descriptor(self) -> dict[str, tuple[str | None, tuple, np.dtype]]:
-        """Picklable (segment-name, shape, dtype) map for name-attaching."""
-        return {
-            name: (seg.name if seg is not None else None, shape, dtype)
-            for name, (seg, shape, dtype) in self._meta.items()
-        }
-
-    @classmethod
-    def attach(cls, desc: Mapping[str, tuple[str | None, tuple, np.dtype]]) -> "_ShmArena":
-        """Worker-side view of a host-owned arena (never unlinks)."""
-        self = cls.__new__(cls)
-        self._meta = {}
-        self._segments = []
-        for name, (segname, shape, dtype) in desc.items():
-            if segname is None:
-                self._meta[name] = (None, shape, dtype)
-            else:
-                seg = _attach_shm(segname)
-                self._segments.append(seg)
-                self._meta[name] = (seg, shape, dtype)
-        return self
-
     def views(self) -> dict[str, np.ndarray]:
-        """Numpy views over the segments (worker side, after :meth:`attach`)."""
+        """Numpy views over the segments."""
         out: dict[str, np.ndarray] = {}
         for name, (seg, shape, dtype) in self._meta.items():
             if seg is None:
@@ -310,12 +285,7 @@ class _ShmArena:
         return out
 
     def close(self) -> list:
-        """Drop this process's mappings; returns the closed segments.
-
-        ``BufferError`` means a numpy view is still exported; the mapping
-        then lives until the worker's next op or exit — harmless, the
-        host's unlink removes the name either way.
-        """
+        """Drop this process's mappings; returns the closed segments."""
         segments, self._segments = self._segments, []
         self._meta = {}
         for seg in segments:
@@ -334,6 +304,125 @@ class _ShmArena:
                 pass
 
     _emergency_cleanup = destroy
+
+
+# -------------------------------------------------------------- gang boxes
+#: Alignment of every part placed in a box: a cache line, which covers
+#: every numpy dtype's alignment.
+_BOX_ALIGN = 64
+
+
+def _pickle_parts(obj: Any) -> list[memoryview]:
+    """Pickle ``obj`` once, protocol 5: ``[header, *out-of-band buffers]``.
+
+    Contiguous numpy arrays leave the in-band header as out-of-band
+    buffers, which are views of the live arrays, not copies.
+    """
+    buffers: list[pickle.PickleBuffer] = []
+    header = pickle.dumps(obj, 5, buffer_callback=buffers.append)
+    return [memoryview(header), *(b.raw() for b in buffers)]
+
+
+def _spans(parts: Sequence[memoryview], base: int = 0) -> tuple[tuple, int]:
+    """Aligned ``(offset, length)`` spans laying ``parts`` out from
+    ``base``, and the offset one past the last byte."""
+    spans = []
+    end = base
+    for part in parts:
+        off = -(-end // _BOX_ALIGN) * _BOX_ALIGN
+        spans.append((off, part.nbytes))
+        end = off + part.nbytes
+    return tuple(spans), end
+
+
+def _place(buf: memoryview, spans: tuple, parts: Sequence[memoryview]) -> None:
+    """Copy each part to its span of ``buf``."""
+    for (off, n), part in zip(spans, parts):
+        buf[off:off + n] = part
+
+
+def _unpickle(buf: memoryview, spans: tuple, copy: bool) -> Any:
+    """Inverse of :func:`_pickle_parts` for parts placed at ``spans``.
+
+    ``copy=False`` leaves out-of-band arrays as writable views of
+    ``buf`` (a rank reading its op); ``copy=True`` gives each its own
+    memory (the host reading a report, which must not alias a box).
+    """
+    views = [buf[off:off + n] for off, n in spans]
+    if copy:
+        views = [bytearray(v) for v in views]
+    return pickle.loads(views[0], buffers=views[1:])
+
+
+class _ShmBox:
+    """One host-owned shared-memory segment that lives as long as its gang.
+
+    Created before the fork, so the ranks inherit the mapping, and
+    unlinked at reap.  A box is grow-only: the host replaces it with a
+    larger one between ops (see ``_Gang`` in
+    :mod:`repro.runtime.supervisor`), and the ranks follow by name
+    through :class:`_BoxMap`.
+    """
+
+    def __init__(self, size: int):
+        from multiprocessing import shared_memory
+
+        self.seg = shared_memory.SharedMemory(create=True, size=max(size, 1))
+        register_for_cleanup(self)
+
+    @property
+    def name(self) -> str:
+        return self.seg.name
+
+    @property
+    def size(self) -> int:
+        return self.seg.size
+
+    def destroy(self) -> None:
+        """Close and unlink the segment (host side; idempotent)."""
+        seg, self.seg = self.seg, None
+        if seg is None:
+            return
+        try:
+            seg.close()
+        except (OSError, BufferError):
+            pass
+        try:
+            seg.unlink()
+        except FileNotFoundError:
+            pass
+
+    _emergency_cleanup = destroy
+
+
+class _BoxMap:
+    """A rank's mapping of one of its gang's boxes, kept across ops.
+
+    Starts as the fork-inherited mapping (``None`` for a box the gang
+    did not have at fork time).  When a command names a box the host has
+    since created or replaced, the new segment is attached once, by
+    name, and the old mapping closed.  That is safe because the host replaces
+    a box only between ops, after every rank has reported, and the rank
+    has dropped the last op's views by then (see ``_serve_op``).
+    """
+
+    __slots__ = ("seg", "_retired")
+
+    def __init__(self, seg):
+        self.seg = seg
+        self._retired: list[Any] = []
+
+    def buf(self, name: str) -> memoryview:
+        if self.seg is None or self.seg.name != name:
+            old, self.seg = self.seg, _attach_shm(name)
+            try:
+                if old is not None:
+                    old.close()
+            except BufferError:
+                # A view outlived its op: keep the mapping rather than
+                # let the segment's finalizer retry the close.
+                self._retired.append(old)
+        return self.seg.buf
 
 
 # --------------------------------------------------------------- profiling
@@ -356,7 +445,7 @@ class _Pickled:
 
 
 class _ProfileBuffers:
-    """Per-rank profile state in one host-owned shared-memory segment.
+    """Per-rank profile state laid over one shared-memory buffer.
 
     Layout (all rows 8-byte aligned, one row per rank):
 
@@ -372,26 +461,20 @@ class _ProfileBuffers:
     * ``msgs / bytes (P, P) i8`` — communication matrices, rows = senders;
     * ``events  (P, cap, 3) f8`` — the span rings: (kind, t0, t1).
 
-    Lock-free by construction: each row has exactly one writer (its rank),
-    and the parent reads only after the gang has reported.  Marks and ring
-    timestamps are raw ``time.monotonic()`` values — CLOCK_MONOTONIC is
-    shared by every process on the same boot, so the parent can align all
-    lanes on one wall clock by subtracting its own start mark.
+    The buffer is the gang's profile box (see ``_Gang.stage`` in
+    :mod:`repro.runtime.supervisor`); the host clears it before each
+    profiled op.  Lock-free by construction: each row has exactly one
+    writer (its rank), and the host reads only after the gang has
+    reported.  Marks and ring timestamps are raw ``time.monotonic()``
+    values — CLOCK_MONOTONIC is shared by every process on the same
+    boot, so the host can align all lanes on one wall clock by
+    subtracting its own start mark.
     """
 
-    def __init__(self, nprocs: int, capacity: int):
-        from multiprocessing import shared_memory
-
+    def __init__(self, buf: memoryview, nprocs: int, capacity: int):
         self.nprocs = nprocs
         self.capacity = capacity
-        self._shapes = self._layout(nprocs, capacity)
-        size = sum(
-            int(np.prod(shape)) * np.dtype(dt).itemsize
-            for shape, dt in self._shapes.values()
-        )
-        # POSIX shm is zero-filled by the kernel; no explicit init needed.
-        self._seg = shared_memory.SharedMemory(create=True, size=size)
-        register_for_cleanup(self)
+        self._buf = buf
 
     @staticmethod
     def _layout(nprocs: int, capacity: int) -> dict:
@@ -406,60 +489,34 @@ class _ProfileBuffers:
             "events": ((p, capacity, 3), np.float64),
         }
 
-    def descriptor(self) -> tuple[str, int, int]:
-        """Picklable handle: (segment name, nprocs, ring capacity)."""
-        return (self._seg.name, self.nprocs, self.capacity)
-
     @classmethod
-    def attach(cls, desc: tuple[str, int, int]) -> "_ProfileBuffers":
-        """Worker-side view of host-owned buffers (never unlinks)."""
-        name, nprocs, capacity = desc
-        self = cls.__new__(cls)
-        self.nprocs = nprocs
-        self.capacity = capacity
-        self._shapes = cls._layout(nprocs, capacity)
-        self._seg = _attach_shm(name)
-        return self
-
-    def close(self):
-        """Drop this process's mapping; returns the closed segment."""
-        seg, self._seg = self._seg, None
-        if seg is not None:
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
-        return seg
+    def nbytes(cls, nprocs: int, capacity: int) -> int:
+        return sum(int(np.prod(shape)) * np.dtype(dt).itemsize
+                   for shape, dt in cls._layout(nprocs, capacity).values())
 
     def _views(self) -> dict[str, np.ndarray]:
         out = {}
         offset = 0
-        for name, (shape, dt) in self._shapes.items():
-            nbytes = int(np.prod(shape)) * np.dtype(dt).itemsize
-            out[name] = np.ndarray(
-                shape, dtype=dt, buffer=self._seg.buf, offset=offset
-            )
-            offset += nbytes
+        for name, (shape, dt) in self._layout(self.nprocs, self.capacity).items():
+            out[name] = np.ndarray(shape, dtype=dt, buffer=self._buf,
+                                   offset=offset)
+            offset += out[name].nbytes
         return out
+
+    def clear(self) -> None:
+        """Zero every row but the span rings, which are read only up to
+        each rank's event count (host side, before a profiled op)."""
+        for name, arr in self._views().items():
+            if name != "events":
+                arr[...] = 0
 
     def recorder(self, rank: int) -> "_RankRecorder":
         """The single-writer view of rank ``rank``'s rows (child side)."""
         return _RankRecorder(rank, self._views(), self.capacity)
 
     def copy_out(self) -> dict[str, np.ndarray]:
-        """Host-side copies of every array (call before :meth:`destroy`)."""
+        """Host-side copies of every array."""
         return {name: arr.copy() for name, arr in self._views().items()}
-
-    def destroy(self) -> None:
-        """Close and unlink the segment (host side, exactly once)."""
-        seg = self.close()
-        if seg is not None:
-            try:
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-
-    _emergency_cleanup = destroy
 
 
 class _RankRecorder:
@@ -1255,7 +1312,7 @@ def _run_program(
 
     The core of the gang worker loop
     (:func:`repro.runtime.supervisor._worker_main`).  ``views`` are the
-    rank's numpy views over the attached arena,
+    op's shared arrays (views of the gang's inbox),
     ``rank_args`` is already this rank's own tuple (or ``None``),
     ``transport`` is the fork-shared queue/ring transport (bound to this
     rank here), and ``stamp`` is the ``(epoch, op_id)`` wire stamp for
@@ -1280,7 +1337,7 @@ def _run_program(
         call_args = ()
     if recorder is not None:
         # Everything from op receipt to here is shm/argument setup:
-        # attaching views, slicing blocks.
+        # reading the op out of the inbox, slicing blocks.
         t_ready = monotonic()
         recorder.mark(1, t_ready)
         recorder.span(_PK_SHM, t_entry, t_ready)
@@ -1298,6 +1355,9 @@ def _run_program(
     else:
         result = gen_or_value
     ctx._flush()
+    # Break the driver <-> context cycle so that whatever the op left in
+    # them (views of the inbox included) dies with the op.
+    driver.ctx = None
     if chaos:
         fire_chaos(chaos, "flush")
     if recorder is not None:

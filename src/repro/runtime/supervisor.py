@@ -2,7 +2,7 @@
 
 Both process backends run their ranks through this module;
 :mod:`repro.runtime.mp` holds only the rank side (context, driver,
-transports, shared-memory arena, profile buffers).
+transports, shared-memory boxes, profile buffers).
 
 * ``backend="mp"`` — :class:`~repro.runtime.mp.MpBackend` — is a one-op
   supervised gang with retries off: every call forks a fresh gang (the op
@@ -17,12 +17,24 @@ transports, shared-memory arena, profile buffers).
 What the supervisor does:
 
 * **Persistent & warm** — ranks are forked *once* per gang epoch and
-  then reused: each worker sits in an op-dispatch loop, receiving
-  ``(op_id, op)`` commands over a per-rank control queue, attaching the
-  host's shared-memory arena *by name* (the arena did not exist at fork
-  time), running the op through :func:`~repro.runtime.mp._run_program`,
-  and posting the result home.  A warm dispatch replaces a fork; a gang
-  forked *for* an op gets that op in the fork instead.
+  then reused: each worker blocks in an op-dispatch loop on a per-rank
+  control queue, runs each op through
+  :func:`~repro.runtime.mp._run_program`, and posts the result home.
+  A warm dispatch replaces a fork; a gang forked *for* an op gets that
+  op in the fork instead.
+* **Boxed** — a gang owns two shared-memory boxes from spawn to reap.
+  The host pickles each op once (protocol 5) into the **inbox**: the
+  shared input arrays and the arrays inside a ``make_rank_args``
+  closure (a cached plan, say) travel out of band, as plain copies.
+  A rank gets only a small ``(op_id, layout)`` command, reads the op
+  out of the inbox without copying, and pickles its report into its
+  own slot of the **outbox**; the host copies the report out.  The
+  host rewrites the inbox only after every rank has reported the
+  previous op, so no view of an op outlives it.  Boxes are grow-only:
+  an op too large for the inbox grows it before dispatch, and a report
+  too large for its slot travels in-band once and the outbox slots
+  grow for the next op (``box_grows`` and the ``box_grow`` event count it).
+  So a warm op creates and unlinks no shared-memory segment.
 * **Supervised** — every worker runs a heartbeat thread beating a
   shared-memory board (and exiting if its host has died); the host's one
   wait loop multiplexes the result pipe, every child's exit sentinel,
@@ -52,8 +64,8 @@ dispatch: pickled by reference when possible, otherwise marshalled code
 objects plus recursively-frozen defaults and closure cells, thawed
 against the worker's (fork-inherited) module globals — see
 :func:`_freeze_callable`.  Closure state must therefore pickle, on
-``mp`` as on ``supervised``; a closure over e.g. a lock is rejected
-with :class:`~repro.runtime.base.BackendError` before any fork.
+``mp`` as on ``supervised``: the op pickle rejects a closure over e.g.
+a lock with :class:`~repro.runtime.base.BackendError` before any fork.
 
 Lifecycle events (``rank_death``, ``rebuild``, ``retry``, ``fallback``,
 ``heartbeat_miss``, ...) are appended to :attr:`SupervisorStats.events`,
@@ -98,8 +110,14 @@ from .mp import (
     MpGangError,
     _build_mp_profile,
     _make_transport,
+    _BoxMap,
+    _pickle_parts,
+    _place,
     _ProfileBuffers,
     _ShmArena,
+    _ShmBox,
+    _spans,
+    _unpickle,
     register_for_cleanup,
     _run_program,
 )
@@ -176,6 +194,7 @@ class SupervisorStats:
     retries: int = 0
     rebuilds: int = 0
     fallbacks: int = 0
+    box_grows: int = 0
     gang_epoch: int = 0
     stale_dropped: int = 0
     failures: dict[str, int] = field(default_factory=dict)
@@ -189,6 +208,7 @@ class SupervisorStats:
             "retries": self.retries,
             "rebuilds": self.rebuilds,
             "fallbacks": self.fallbacks,
+            "box_grows": self.box_grows,
             "gang_epoch": self.gang_epoch,
             "stale_dropped": self.stale_dropped,
             "failures": dict(self.failures),
@@ -252,74 +272,70 @@ class _HeartbeatBoard:
 def _freeze_callable(fn: Callable | None):
     """Make ``fn`` shippable to a worker forked before ``fn`` existed.
 
-    Module-level functions pickle by reference and import cleanly, so try
-    that first.  Local closures (``pack``'s ``make_rank_args``, a test's
-    inline program) don't pickle — for plain Python functions we marshal
-    the code object and recursively freeze defaults and closure cells,
-    rebuilding the function in the worker against its fork-inherited
-    module globals (the worker forked *after* the defining module was
-    imported, including ``__main__`` and test modules, so the globals are
-    there).
+    Module-level functions pickle by reference and import cleanly, so
+    they ship as they are.  Local closures (``pack``'s
+    ``make_rank_args``, a test's inline program) don't pickle: they ship
+    as a :class:`_FrozenFunction`.  Anything else ships as it is, and the
+    op pickle decides whether it can travel.
     """
-    if fn is None:
-        return None
+    if not isinstance(fn, types.FunctionType):
+        return fn
     try:
-        return ("pickle", pickle.dumps(fn, pickle.HIGHEST_PROTOCOL))
+        pickle.dumps(fn, pickle.HIGHEST_PROTOCOL)
+        return fn
     except Exception:
         pass
-    if not isinstance(fn, types.FunctionType):
-        raise BackendError(
-            f"gang cannot ship {fn!r}: not picklable and not a plain "
-            f"Python function"
-        )
     try:
-        code = marshal.dumps(fn.__code__)
-        defaults = tuple(_freeze_value(v) for v in (fn.__defaults__ or ()))
-        kwdefaults = {
-            k: _freeze_value(v) for k, v in (fn.__kwdefaults__ or {}).items()
-        }
-        closure = tuple(
-            _freeze_value(c.cell_contents) for c in (fn.__closure__ or ())
-        )
+        return _FrozenFunction(fn)
     except Exception as exc:
         raise BackendError(
             f"gang cannot ship {fn.__qualname__}: closure state is not "
             f"picklable ({exc})"
         ) from exc
-    return ("code", code, fn.__module__, defaults, kwdefaults, closure)
 
 
-def _freeze_value(v):
-    if isinstance(v, types.FunctionType):
-        return ("fn", _freeze_callable(v))
-    return ("val", pickle.dumps(v, pickle.HIGHEST_PROTOCOL))
+class _FrozenFunction:
+    """A plain Python function shipped by value.
+
+    Holds the marshalled code object and the function's defaults and
+    closure cell contents, themselves frozen when they are functions.
+    The values stay objects: the one op pickle ships them, numpy arrays
+    out of band, and fails (as a ``"not picklable"``
+    :class:`~repro.runtime.base.BackendError`) if one cannot travel.
+    Unpickling rebuilds the function against the worker's fork-inherited
+    module globals (the worker forked *after* the defining module was
+    imported, including ``__main__`` and test modules).
+    """
+
+    __slots__ = ("code", "module", "defaults", "kwdefaults", "closure")
+
+    def __init__(self, fn: types.FunctionType):
+        self.code = marshal.dumps(fn.__code__)
+        self.module = fn.__module__
+        self.defaults = tuple(_freeze_callable(v) for v in (fn.__defaults__ or ()))
+        self.kwdefaults = {
+            k: _freeze_callable(v) for k, v in (fn.__kwdefaults__ or {}).items()
+        }
+        self.closure = tuple(
+            _freeze_callable(c.cell_contents) for c in (fn.__closure__ or ())
+        )
+
+    def __reduce__(self):
+        return (_thaw_function, (self.code, self.module, self.defaults,
+                                 self.kwdefaults, self.closure))
 
 
-def _thaw_value(blob):
-    tag, data = blob
-    if tag == "fn":
-        return _thaw_callable(data)
-    return pickle.loads(data)
-
-
-def _thaw_callable(blob) -> Callable | None:
-    if blob is None:
-        return None
-    if blob[0] == "pickle":
-        return pickle.loads(blob[1])
-    _, code_b, module, defaults, kwdefaults, closure = blob
+def _thaw_function(code_b, module, defaults, kwdefaults, closure) -> Callable:
     code = marshal.loads(code_b)
     mod = sys.modules.get(module)
     if mod is None:  # pragma: no cover - fork inherits loaded modules
         mod = importlib.import_module(module)
-    cells = tuple(types.CellType(_thaw_value(v)) for v in closure)
     fn = types.FunctionType(
-        code, mod.__dict__, code.co_name,
-        tuple(_thaw_value(v) for v in defaults) or None,
-        cells or None,
+        code, mod.__dict__, code.co_name, defaults or None,
+        tuple(types.CellType(v) for v in closure) or None,
     )
     if kwdefaults:
-        fn.__kwdefaults__ = {k: _thaw_value(v) for k, v in kwdefaults.items()}
+        fn.__kwdefaults__ = kwdefaults
     return fn
 
 
@@ -333,25 +349,34 @@ def _worker_main(
     transport,
     result_q,
     board: _HeartbeatBoard,
+    inbox,
+    outbox,
+    profile,
     heartbeat_interval: float | None,
     spawn_chaos: tuple[ChaosEvent, ...],
     first_cmds: Sequence[tuple],
 ) -> None:
     """Rank process: heartbeat + op-dispatch loop.
 
-    Per-gang state (queues, transport, board) is fork-inherited; per-op
-    state (arena, profile buffers, the program itself) arrives in the op
-    command and is attached by name / thawed here.  A gang forked *for*
-    an op gets that op in the fork (``first_cmds``) instead of through
-    the control queue, so a cold op costs no extra host round trip; a
-    one-op gang's ``first_cmds`` end in ``shutdown``, and it has neither
-    a control queue nor a heartbeat (``heartbeat_interval=None``).
-    Exits on a ``shutdown`` command, an op error (after shipping the
-    traceback), a signal, or when its host is gone.
+    All gang state is fork-inherited: queues, transport, board, and the
+    mappings of the gang's boxes (``profile`` is ``None`` until a profiled
+    op needs one).  An op command
+    is small — ``(op_id, inbox layout, outbox slot, chaos, profile)`` —
+    because the op itself waits in the inbox (see :func:`_serve_op`).  A
+    gang forked *for* an op gets that command in the fork
+    (``first_cmds``) instead of through the control queue, so a cold op
+    costs no extra host round trip; a one-op gang's ``first_cmds`` end in
+    ``shutdown``, and it has neither a control queue nor a heartbeat
+    (``heartbeat_interval=None``).  Between ops a rank blocks on its
+    control queue; it never spins.  The host rewrites the inbox only
+    after every rank has reported the previous op (:meth:`_Gang.stage`),
+    which is what lets a rank use the op's arrays in place.  Exits on a
+    ``shutdown`` command, an op error (after shipping the traceback), a
+    signal, or when its host is gone.
 
     A thread started right after the fork costs the rank a wait for a
     CPU its fresh peers compete for, so the cold path starts none it can
-    avoid: ``result_q`` is a SimpleQueue (synchronous puts, no feeder
+    avoid: the queues are SimpleQueues (synchronous puts, no feeder
     thread), and ``ready`` is the rank's first beat, backed by a message
     only when no op rode the fork to wake the host.
     """
@@ -381,94 +406,179 @@ def _worker_main(
         # Unlike threading.Thread.start, this does not wait for the thread
         # to be scheduled; the thread dies with the process.
         _thread.start_new_thread(_beat, ())
-    # Per-op shm (arena, profile rings) must NOT be closed when the op
-    # finishes: the queue transport's feeder threads pickle mailbox
-    # payloads sliced from arena views asynchronously, and
-    # ``SharedMemory.close()`` unmaps even under live numpy views —
-    # the race is a feeder-thread segfault.  By the time the *next*
-    # command arrives the host has collected every rank's result, which
-    # means every message of the previous op was received, i.e. fully
-    # serialized — only then is unmapping safe.
-    deferred_close: list[Any] = []
+    boxes = (_BoxMap(inbox), _BoxMap(outbox), _BoxMap(profile))
     cmds = list(first_cmds)
     while True:
-        if cmds:
-            cmd = cmds.pop(0)
-        else:
-            cmd = ctl_q.get()
-            for res in deferred_close:
-                res.close()
-            deferred_close = []
+        cmd = cmds.pop(0) if cmds else ctl_q.get()
         if cmd[0] == "shutdown":
             break
-        _, op_id, op = cmd
-        t_entry = monotonic()
-        arena = None
-        prof = None
-        try:
-            chaos = op["chaos"]
-            recorder = None
-            if op["profile"] is not None:
-                prof = _ProfileBuffers.attach(op["profile"])
-                recorder = prof.recorder(rank)
-                recorder.mark(0, t_entry)
-            arena = _ShmArena.attach(op["arena"])
-            result, snapshot, metrics, events = _run_program(
-                rank, nprocs, op["spec"],
-                _thaw_callable(op["program"]),
-                _thaw_callable(op["make_rank_args"]),
-                op["rank_args"],
-                arena.views(), transport, recorder,
-                op["want_metrics"], op["want_trace"],
-                t_entry=t_entry, stamp=(epoch, op_id), chaos=chaos,
-            )
-            if any(ev.kind == "poison" for ev in chaos):
-                # Poisoned result: a truncated message, exercising the
-                # host's validation instead of this rank's execution.
-                result_q.put(("ok", rank, epoch))
-            else:
-                # Pickled apart from the envelope, so the host can pin an
-                # undecodable result on its rank.
-                blob = pickle.dumps(
-                    (result, snapshot, metrics, events),
-                    pickle.HIGHEST_PROTOCOL,
-                )
-                result_q.put(("ok", rank, epoch, op_id, blob))
-        except BaseException:
-            try:
-                result_q.put(("error", rank, epoch, op_id, traceback.format_exc()))
-            finally:
-                os._exit(_CHILD_FAILED)
-        finally:
-            if arena is not None:
-                deferred_close.append(arena)
-            if prof is not None:
-                deferred_close.append(prof)
+        _serve_op(rank, nprocs, epoch, cmd, boxes, transport, result_q)
     # On a one-op gang a peer may still be waiting for a mailbox message
     # this rank queued, and the feeder may still have to pickle it out of
-    # the arena: flush while the per-op shm is mapped, then skip
-    # interpreter teardown (atexit hooks belong to the parent).
+    # the inbox: flush while the inbox is mapped, then skip interpreter
+    # teardown (atexit hooks belong to the parent).
     transport.child_flush()
     os._exit(0)
 
 
-# -------------------------------------------------------------- gang state
-class _Gang:
-    """One epoch of worker processes and their fork-shared plumbing."""
+def _serve_op(rank: int, nprocs: int, epoch: int, cmd: tuple,
+              boxes: tuple[_BoxMap, ...], transport, result_q) -> None:
+    """Run one op command and post the report home.
 
-    def __init__(self, epoch: int, nprocs: int, procs, ctl, transport,
-                 result_q, board: _HeartbeatBoard):
+    The op is read out of the inbox without copying: its shared arrays,
+    and the plan arrays inside a ``make_rank_args`` closure, are views of
+    the inbox.  The host rewrites the inbox only after every rank has
+    reported this op, so the views stay valid for as long as the op
+    runs; they die with this call's locals.  The report goes into the
+    rank's outbox slot, and only its layout crosses the result pipe.  A
+    report too large for the slot travels in-band, with the size the
+    host should grow the slots to for the next op.
+    """
+    _, op_id, (in_name, in_spans), (out_name, out_off, out_size), \
+        chaos, profile = cmd
+    inbox, outbox, prof_box = boxes
+    t_entry = monotonic()
+    recorder = None
+    try:
+        if profile is not None:
+            name, capacity = profile
+            recorder = _ProfileBuffers(
+                prof_box.buf(name), nprocs, capacity).recorder(rank)
+            recorder.mark(0, t_entry)
+        op = _unpickle(inbox.buf(in_name), in_spans, copy=False)
+        rank_args = op["rank_args"]
+        report = _run_program(
+            rank, nprocs, op["spec"], op["program"], op["make_rank_args"],
+            rank_args[rank] if rank_args is not None else None,
+            op["shared"], transport, recorder,
+            op["want_metrics"], op["want_trace"],
+            t_entry=t_entry, stamp=(epoch, op_id), chaos=chaos,
+        )
+        if any(ev.kind == "poison" for ev in chaos):
+            # Poisoned result: a truncated message, exercising the
+            # host's validation instead of this rank's execution.
+            result_q.put(("ok", rank, epoch))
+            return
+        parts = _pickle_parts(report)
+        spans, end = _spans(parts, out_off)
+        if end <= out_off + out_size:
+            _place(outbox.buf(out_name), spans, parts)
+            layout = ("box", spans)
+        else:
+            layout = ("inband", end - out_off,
+                      pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
+        result_q.put(("ok", rank, epoch, op_id, layout))
+    except BaseException:
+        try:
+            result_q.put(("error", rank, epoch, op_id, traceback.format_exc()))
+        finally:
+            os._exit(_CHILD_FAILED)
+
+
+# -------------------------------------------------------------- gang state
+#: Initial box sizes of a persistent gang.  Boxes are grow-only, and a
+#: shared-memory page costs memory only once it is written.
+_INBOX_BYTES = 1 << 20
+_SLOT_BYTES = 1 << 18
+_PAGE = 4096
+
+
+def _grown(size: int, need: int) -> int:
+    """A grow-only box's next size: at least double, page-rounded."""
+    return -(-max(need, 2 * size) // _PAGE) * _PAGE
+
+
+class _Gang:
+    """One epoch of worker processes and their fork-shared plumbing.
+
+    Besides the queues, the transport and the heartbeat board, a gang
+    owns boxes for its whole life, unlinked at reap: the **inbox**,
+    holding the current op as one protocol-5 pickle (header plus
+    out-of-band buffers), the **outbox**, one slot per rank for its
+    pickled report, both created before the fork, and the **profile**
+    box, created by the first profiled op.  All are grow-only; growth
+    happens in :meth:`stage`, between ops.
+    """
+
+    def __init__(self, epoch: int, nprocs: int, ctl, transport, result_q,
+                 board: _HeartbeatBoard, inbox_bytes: int, slot_bytes: int):
         self.epoch = epoch
         self.nprocs = nprocs
-        self.procs = procs
+        self.procs: list = []
         self.ctl = ctl
         self.transport = transport
         self.result_q = result_q
         self.board = board
+        self.inbox = _ShmBox(inbox_bytes)
+        #: Every rank's outbox slot has this size.
+        self.slot_size = _grown(0, slot_bytes)
+        self.outbox = _ShmBox(self.slot_size * nprocs)
+        #: Largest report this op that did not fit its slot.
+        self.slot_want = 0
+        self.profile: _ShmBox | None = None
         register_for_cleanup(self)
 
     def healthy(self) -> bool:
         return all(p.is_alive() for p in self.procs)
+
+    def slot(self, rank: int) -> tuple[str, int, int]:
+        """``(outbox name, offset, size)`` of ``rank``'s report slot."""
+        return (self.outbox.name, rank * self.slot_size, self.slot_size)
+
+    def stage(self, parts: Sequence[memoryview],
+              profile_capacity: int | None) -> tuple[tuple, tuple | None,
+                                                     list[str]]:
+        """Write an op's pickle parts into the inbox and, for a profiled
+        op, clear the profile box, first growing the boxes that are too
+        small.  Returns the inbox layout and the profile handle for the
+        op command, and a description of each box grown.
+
+        Invariant: a box is rewritten or replaced only here, after every
+        rank has reported the previous op.  By then every message of that
+        op has been received — so the queue transport's feeder threads
+        have fully serialized any payload sliced from inbox views — and
+        the host has copied every report out of the outbox.
+        """
+        grown = []
+
+        def fit(kind: str, need: int) -> None:
+            box = getattr(self, kind)
+            old = box.size if box is not None else 0
+            if need > old:
+                setattr(self, kind, _ShmBox(_grown(old, need)))
+                if box is not None:
+                    box.destroy()
+                grown.append(f"{kind} {old} -> {getattr(self, kind).size} bytes")
+
+        if self.slot_want:
+            self.slot_size = _grown(self.slot_size, self.slot_want)
+            self.slot_want = 0
+            fit("outbox", self.slot_size * self.nprocs)
+        spans, end = _spans(parts)
+        fit("inbox", end)
+        _place(self.inbox.seg.buf, spans, parts)
+        profile = None
+        if profile_capacity is not None:
+            fit("profile", _ProfileBuffers.nbytes(self.nprocs, profile_capacity))
+            self.profile_buffers(profile_capacity).clear()
+            profile = (self.profile.name, profile_capacity)
+        return (self.inbox.name, spans), profile, grown
+
+    def profile_buffers(self, capacity: int) -> _ProfileBuffers:
+        return _ProfileBuffers(self.profile.seg.buf, self.nprocs, capacity)
+
+    def read_report(self, rank: int, layout) -> tuple:
+        """Decode ``rank``'s report, copied out of its slot (or in-band,
+        in which case the slots grow before the next op)."""
+        if layout[0] == "inband":
+            _, need, blob = layout
+            self.slot_want = max(self.slot_want, need)
+            return pickle.loads(blob)
+        _, lo, size = self.slot(rank)
+        spans = layout[1]
+        if not all(lo <= off and off + n <= lo + size for off, n in spans):
+            raise ValueError(f"report spans {spans} leave the rank's slot")
+        return _unpickle(self.outbox.seg.buf, spans, copy=True)
 
     def reap(self, join_grace: float, graceful: bool) -> None:
         # A graceful stop asks each rank over its control queue; a one-op
@@ -489,17 +599,15 @@ class _Gang:
         for p in self.procs:
             p.join(timeout=join_grace)
         self.board.destroy()
+        for box in (self.inbox, self.outbox, self.profile):
+            if box is not None:
+                box.destroy()
         try:
             self.transport.host_destroy()
         except (OSError, ValueError):
             pass
-        for q in self.ctl:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
-        self.result_q.close()
+        for q in (*self.ctl, self.result_q):
+            q.close()
 
     def _emergency_cleanup(self) -> None:
         for p in self.procs:
@@ -509,6 +617,9 @@ class _Gang:
                 except (OSError, ValueError):
                     pass
         self.board.destroy()
+        for box in (self.inbox, self.outbox, self.profile):
+            if box is not None:
+                box.destroy()
 
 
 # --------------------------------------------------------------- chaos state
@@ -698,11 +809,14 @@ class GangSupervisor(Backend):
         return None
 
     def _spawn(self, nprocs: int, op_index: int,
-               first_cmds: Sequence[Sequence[tuple]] | None = None) -> _Gang:
-        """Fork a new gang epoch; ``first_cmds[r]`` ride rank ``r``'s fork.
+               op: tuple | None = None) -> _Gang:
+        """Fork a new gang epoch; ``op``, if given, rides the fork.
 
-        Returns as soon as the ranks are started; :meth:`_wait` awaits
-        their readiness, together with the first op's results if any.
+        ``op`` is ``(op_id, parts, chaos, profile, lifecycle)`` as for
+        :meth:`_commands`; its pickle is written into the new inbox before
+        the fork.  Returns as soon as the ranks are started; :meth:`_wait`
+        awaits their readiness, together with the first op's results if
+        any.
         """
         if "fork" not in _mp.get_all_start_methods():
             raise BackendError(
@@ -711,29 +825,40 @@ class GangSupervisor(Backend):
         epoch = self._next_epoch
         self._next_epoch += 1
         mpctx = _mp.get_context("fork")
-        board = _HeartbeatBoard(nprocs)
-        transport = _make_transport(self.transport, mpctx, nprocs, self.codec)
-        # A one-op gang's ranks exit after the op that rode the fork: no
-        # control queues.
-        ctl = [mpctx.Queue() for _ in range(nprocs)] if self.persistent else []
-        result_q = mpctx.SimpleQueue()
-        procs = [
-            mpctx.Process(
-                target=_worker_main,
-                args=(r, nprocs, epoch, os.getpid(),
-                      ctl[r] if ctl else None, transport, result_q, board,
-                      self.heartbeat_interval if self.persistent else None,
-                      self._chaos.take(op_index, r, spawn=True),
-                      first_cmds[r] if first_cmds is not None else ()),
-                daemon=True,
-                name=f"repro-mp-rank-{r}-e{epoch}",
-            )
-            for r in range(nprocs)
-        ]
-        gang = _Gang(epoch, nprocs, procs, ctl, transport, result_q, board)
-        self._event("gang_start", detail=f"epoch {epoch}, P={nprocs}")
+        # A one-op gang's inbox holds exactly its op; a persistent gang's
+        # starts with room to spare.
+        need = _spans(op[1])[1] if op is not None else 0
+        gang = _Gang(
+            epoch, nprocs,
+            # A one-op gang's ranks exit after the op that rode the fork:
+            # no control queues.
+            [mpctx.SimpleQueue() for _ in range(nprocs)] if self.persistent else [],
+            _make_transport(self.transport, mpctx, nprocs, self.codec),
+            mpctx.SimpleQueue(), _HeartbeatBoard(nprocs),
+            max(need, _INBOX_BYTES) if self.persistent else need, _SLOT_BYTES,
+        )
         try:
-            for p in procs:
+            tail = [] if self.persistent else [("shutdown",)]
+            first = ([[cmd, *tail] for cmd in self._commands(gang, *op)]
+                     if op is not None else None)
+            gang.procs = [
+                mpctx.Process(
+                    target=_worker_main,
+                    args=(r, nprocs, epoch, os.getpid(),
+                          gang.ctl[r] if gang.ctl else None, gang.transport,
+                          gang.result_q, gang.board, gang.inbox.seg,
+                          gang.outbox.seg,
+                          gang.profile.seg if gang.profile else None,
+                          self.heartbeat_interval if self.persistent else None,
+                          self._chaos.take(op_index, r, spawn=True),
+                          first[r] if first is not None else ()),
+                    daemon=True,
+                    name=f"repro-mp-rank-{r}-e{epoch}",
+                )
+                for r in range(nprocs)
+            ]
+            self._event("gang_start", detail=f"epoch {epoch}, P={nprocs}")
+            for p in gang.procs:
                 p.start()
         except BaseException:
             gang.reap(self.join_grace, graceful=False)
@@ -743,6 +868,18 @@ class GangSupervisor(Backend):
         if self._metrics is not None:
             self._metrics.set("supervisor.gang_epoch", epoch)
         return gang
+
+    def _commands(self, gang: _Gang, op_id: int, parts, chaos,
+                  profile_capacity: int | None,
+                  lifecycle: list[SupervisorEvent]) -> list[tuple]:
+        """Stage an op in ``gang``'s boxes; return each rank's command."""
+        inbox, profile, grown = gang.stage(parts, profile_capacity)
+        for detail in grown:
+            self.stats.box_grows += 1
+            lifecycle.append(self._event("box_grow", op_id=op_id,
+                                         detail=detail))
+        return [("op", op_id, inbox, gang.slot(r), chaos[r], profile)
+                for r in range(gang.nprocs)]
 
     # -------------------------------------------------------------- run_spmd
     def run_spmd(
@@ -805,13 +942,25 @@ class GangSupervisor(Backend):
         op_id = self._next_op_id
         self._next_op_id += 1
         self.stats.ops += 1
-        frozen = {
+        op = {
             "spec": spec,
             "program": _freeze_callable(program),
             "make_rank_args": _freeze_callable(make_rank_args),
+            "rank_args": (tuple(tuple(a) for a in rank_args)
+                          if rank_args is not None else None),
+            "shared": {k: np.ascontiguousarray(v)
+                       for k, v in (shared or {}).items()},
             "want_metrics": metrics is not None,
             "want_trace": tracer is not None,
         }
+        try:
+            # Pickled once per op, whatever the retries: every attempt
+            # copies these parts into its gang's inbox.
+            parts = _pickle_parts(op)
+        except Exception as exc:
+            raise BackendError(
+                f"{self.name} backend cannot ship the op: it is not "
+                f"picklable ({exc})") from exc
         lifecycle: list[SupervisorEvent] = []
         last_failure: _OpFailure | None = None
         try:
@@ -825,9 +974,8 @@ class GangSupervisor(Backend):
                     time.sleep(delay)
                 try:
                     return self._run_once(
-                        nprocs, op_index, op_id, attempt, frozen,
-                        rank_args, shared, tracer, metrics, profile,
-                        lifecycle,
+                        nprocs, op_index, op_id, attempt, parts,
+                        tracer, metrics, profile, lifecycle,
                     )
                 except _OpFailure as failure:
                     last_failure = failure
@@ -882,37 +1030,26 @@ class GangSupervisor(Backend):
     # -------------------------------------------------------------- one try
     def _run_once(
         self, nprocs: int, op_index: int, op_id: int, attempt: int,
-        frozen: dict, rank_args, shared, tracer, metrics, profile,
-        lifecycle: list[SupervisorEvent],
+        parts, tracer, metrics, profile, lifecycle: list[SupervisorEvent],
     ) -> RunResult:
         t_attempt0 = monotonic()
-        arena = _ShmArena(shared or {})
-        prof_bufs = None
-        if profile is not None:
-            prof_bufs = _ProfileBuffers(nprocs, profile.ring_capacity)
-        prof_data = None
+        chaos = [self._chaos.take(op_index, r, spawn=False)
+                 for r in range(nprocs)]
+        capacity = profile.ring_capacity if profile is not None else None
         try:
-            cmds = [
-                ("op", op_id, {
-                    **frozen,
-                    "rank_args": tuple(rank_args[r]) if rank_args is not None else None,
-                    "arena": arena.descriptor(),
-                    "profile": prof_bufs.descriptor() if prof_bufs is not None else None,
-                    "chaos": self._chaos.take(op_index, r, spawn=False),
-                })
-                for r in range(nprocs)
-            ]
             gang = self._live_gang(nprocs)
-            t_dispatch0 = monotonic()
             if gang is not None:
                 self.stats.warm_ops += 1
+                cmds = self._commands(gang, op_id, parts, chaos, capacity,
+                                      lifecycle)
+                t_dispatch0 = monotonic()
                 for r in range(nprocs):
                     gang.ctl[r].put(cmds[r])
             else:
                 self.stats.cold_ops += 1
-                tail = [] if self.persistent else [("shutdown",)]
-                gang = self._spawn(
-                    nprocs, op_index, first_cmds=[[cmd, *tail] for cmd in cmds])
+                t_dispatch0 = monotonic()
+                gang = self._spawn(nprocs, op_index, (
+                    op_id, parts, chaos, capacity, lifecycle))
             t_dispatched = monotonic()
             if attempt > 0:
                 self.stats.retries += 1
@@ -920,16 +1057,19 @@ class GangSupervisor(Backend):
                     "retry", op_id=op_id,
                     detail=f"attempt {attempt + 1} on epoch {gang.epoch}"))
             reports = self._wait(gang, op_id)
-            t_collected = monotonic()
-            if not self.persistent:
-                self._gang = None
+        except BaseException as exc:
+            if not isinstance(exc, _OpFailure) and self._gang is not None:
+                # Interrupted mid-op (a KeyboardInterrupt, say): ranks may
+                # still be using the inbox the next op would rewrite.
+                gang, self._gang = self._gang, None
                 gang.reap(self.join_grace, graceful=False)
-            if prof_bufs is not None:
-                prof_data = prof_bufs.copy_out()
-        finally:
-            arena.destroy()
-            if prof_bufs is not None:
-                prof_bufs.destroy()
+            raise
+        t_collected = monotonic()
+        prof_data = (gang.profile_buffers(capacity).copy_out()
+                     if profile is not None else None)
+        if not self.persistent:
+            self._gang = None
+            gang.reap(self.join_grace, graceful=False)
 
         results = []
         stats = []
@@ -945,7 +1085,7 @@ class GangSupervisor(Backend):
         lifecycle.append(self._event(
             "op_ok", op_id=op_id,
             detail=f"attempt {attempt + 1}, epoch {gang.epoch}"))
-        if profile is not None and prof_data is not None:
+        if prof_data is not None:
             prof = _build_mp_profile(
                 nprocs, prof_data, run,
                 t_attempt0, t_dispatch0, t_dispatched, t_collected, monotonic(),
@@ -1068,7 +1208,7 @@ class GangSupervisor(Backend):
                 if kind == "error":
                     return ("error", rank, msg[4])
                 try:
-                    return ("ok", rank, pickle.loads(msg[4]))
+                    return ("ok", rank, gang.read_report(rank, msg[4]))
                 except Exception as exc:
                     raise _OpFailure(
                         "poisoned_result", rank,
