@@ -24,7 +24,7 @@ Commands:
   the regression corpus, and ``--backend mp`` replays it on the
   real-process backend.  See ``docs/conformance.md``;
 * ``runtime`` — execution-backend smoke test: runs the primitive set
-  (barrier, allreduce, exclusive prefix sum, alltoallv, a send/recv ring)
+  (barrier, allreduce, exclusive prefix sum, m2m exchange, a send/recv ring)
   and a PACK/UNPACK round against the serial oracle on the chosen
   backend (exit 1 on any failure).  See ``docs/runtime.md``;
 * ``profile`` — cross-rank runtime cost attribution: run an op under a
@@ -746,8 +746,7 @@ def cmd_profile(args) -> int:
     spec = _build_spec(args)
     if args.backend == "mp":
         backend = MpBackend(timeout=args.timeout,
-                            transport=getattr(args, "transport", None),
-                            codec=getattr(args, "codec", None))
+                            transport=getattr(args, "transport", None))
     else:
         backend = get_backend(args.backend)
     profiler = RuntimeProfiler(ring_capacity=args.ring_capacity)
@@ -802,31 +801,28 @@ def cmd_runtime(args) -> int:
     """Execution-backend smoke test: the SPMD primitive set plus one
     PACK/UNPACK round against the serial oracle, on the chosen backend."""
     from .core.api import pack, unpack
+    from .machine.m2m import exchange
     from .runtime import (
-        MpBackend, allreduce, alltoallv, barrier, exclusive_prefix_sum,
-        get_backend,
+        MpBackend, allreduce, barrier, exclusive_prefix_sum, get_backend,
     )
     from .workloads import make_mask
 
     # Run mp gangs under a wall-clock budget: a transport regression must
     # fail the smoke test, not hang it.
     transport = getattr(args, "transport", None)
-    codec = getattr(args, "codec", None)
     if args.backend == "mp":
-        backend = MpBackend(timeout=args.timeout, transport=transport,
-                            codec=codec)
+        backend = MpBackend(timeout=args.timeout, transport=transport)
     elif args.backend == "supervised":
         from .runtime import GangSupervisor
 
-        backend = GangSupervisor(timeout=args.timeout, transport=transport,
-                                 codec=codec)
+        backend = GangSupervisor(timeout=args.timeout, transport=transport)
     else:
         backend = get_backend(args.backend)
     nprocs = args.procs
     if nprocs < 1:
         raise CLIError(f"--procs must be >= 1, got {nprocs}")
     n = 512 if args.quick else args.n
-    via = (f" transport={backend.transport} codec={backend.codec}"
+    via = (f" transport={backend.transport}"
            if args.backend in ("mp", "supervised") else "")
     print(f"runtime smoke: backend={backend.name} "
           f"({backend.time_domain} time),{via} P={nprocs}")
@@ -845,7 +841,7 @@ def cmd_runtime(args) -> int:
             ring = int(np.asarray(msg.payload)[0])
         outgoing = {q: np.full(q + 1, ctx.rank, dtype=np.int64)
                     for q in range(ctx.size) if q != ctx.rank}
-        incoming = yield from alltoallv(ctx, outgoing)
+        incoming = yield from exchange(ctx, outgoing)
         return {
             "total": total,
             "offset": offset,
@@ -868,10 +864,10 @@ def cmd_runtime(args) -> int:
             failures.append(f"rank {r}: ring recv -> {res['ring']}")
         for q, block in res["a2a"].items():
             if not np.array_equal(block, np.full(r + 1, q, dtype=np.int64)):
-                failures.append(f"rank {r}: alltoallv block from {q} wrong")
+                failures.append(f"rank {r}: exchange block from {q} wrong")
         if res["payload_sum"] != 4.0 * r:
             failures.append(f"rank {r}: scattered payload wrong")
-    print(f"  primitives: barrier/allreduce/xprefix/ring/alltoallv on "
+    print(f"  primitives: barrier/allreduce/xprefix/ring/exchange on "
           f"{nprocs} rank(s), elapsed {run.elapsed * 1e3:.3f} ms "
           f"({run.time_domain})")
 
@@ -1184,10 +1180,6 @@ def main(argv=None) -> int:
                            choices=("queue", "ring"),
                            help="mp message transport (default: "
                                 "$REPRO_MP_TRANSPORT, then ring)")
-    p_profile.add_argument("--codec", default=None,
-                           choices=("auto", "sss", "cms", "pickle"),
-                           help="ring wire codec mode (default: "
-                                "$REPRO_WIRE_CODEC, then auto)")
     p_profile.add_argument("--ring-capacity", type=int, default=8192,
                            dest="ring_capacity",
                            help="per-rank span ring-buffer capacity (mp)")
@@ -1221,10 +1213,6 @@ def main(argv=None) -> int:
                            choices=("queue", "ring"),
                            help="mp message transport (default: "
                                 "$REPRO_MP_TRANSPORT, then ring)")
-    p_runtime.add_argument("--codec", default=None,
-                           choices=("auto", "sss", "cms", "pickle"),
-                           help="ring wire codec mode (default: "
-                                "$REPRO_WIRE_CODEC, then auto)")
 
     p_exp = sub.add_parser("experiments", help="regenerate paper artifacts")
     p_exp.add_argument("--metrics-out", dest="metrics_out",

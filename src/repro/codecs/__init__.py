@@ -9,23 +9,17 @@ paper's CMS run-length segment encoding *on the wire* (Section 6: ship
 """
 
 from .wire import (
-    CODEC_MODES,
-    WIRE_NAMES,
     decode_payload,
     encode_payload,
     pair_runs,
-    resolve_codec,
     wire_bytes_pair_cms,
     wire_bytes_pair_sss,
 )
 
 __all__ = [
-    "CODEC_MODES",
-    "WIRE_NAMES",
     "decode_payload",
     "encode_payload",
     "pair_runs",
-    "resolve_codec",
     "wire_bytes_pair_cms",
     "wire_bytes_pair_sss",
 ]

@@ -17,12 +17,11 @@ maximal run of consecutive destination ranks ships as
 ``(base-rank, count, data...)`` — ``E + 2*Gs`` words — instead of the
 SSS-style ``(rank, datum)`` pair list — ``2*E`` words.  The same
 trade-off exists on a real wire: a :class:`PairMessage` whose ranks form
-few long runs is cheaper to ship as segments.  ``encode_payload`` with
-``codec="auto"`` re-derives the runs (cheap: one vectorized diff over
-indices the sender already computed) and picks whichever encoding is
-smaller; ``"cms"`` / ``"sss"`` force one side for A/B measurement — the
-β₂ crossover of ``BENCH_runtime.json``'s ``codec_crossover`` section.
-The decoder always reconstructs the exact original object
+few long runs is cheaper to ship as segments.  ``encode_payload``
+re-derives the runs (cheap: one vectorized diff over indices the sender
+already computed) and ships whichever encoding is smaller, keeping pairs
+on a tie — the β₂ rule of ``BENCH_runtime.json``'s ``codec_crossover``
+section, applied per message.  The decoder always reconstructs the exact original object
 (:func:`~repro.core.messages.expand_segments` inverts the run-length
 form bit-for-bit), so results are identical whichever side of the
 crossover a message lands on.
@@ -44,7 +43,6 @@ transport's unpickled copies and the simulator's deliveries.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from typing import Any
@@ -52,8 +50,6 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "CODEC_MODES",
-    "WIRE_NAMES",
     "W_PICKLE",
     "W_NONE",
     "W_ND",
@@ -63,7 +59,6 @@ __all__ = [
     "decode_payload",
     "encode_payload",
     "pair_runs",
-    "resolve_codec",
     "wire_bytes_pair_cms",
     "wire_bytes_pair_sss",
 ]
@@ -76,34 +71,8 @@ W_PAIR_SSS = 3  # PairMessage as (ranks, values) arrays — the SSS pair form
 W_PAIR_CMS = 4  # PairMessage as (bases, counts, values) — CMS segment form
 W_SEG = 5       # SegmentMessage as (bases, counts, values)
 
-WIRE_NAMES = {
-    W_PICKLE: "pickle",
-    W_NONE: "none",
-    W_ND: "ndarray",
-    W_PAIR_SSS: "pair-sss",
-    W_PAIR_CMS: "pair-cms",
-    W_SEG: "segment",
-}
-
-#: Codec modes accepted by :func:`encode_payload` / backend ``codec=``.
-#: ``auto`` picks the smaller encoding per message; ``sss`` / ``cms``
-#: force one side of the crossover; ``pickle`` disables the array fast
-#: paths entirely (the PR-6 wire, for A/B measurement).
-CODEC_MODES = ("auto", "sss", "cms", "pickle")
-
 _NDIM = struct.Struct("<B")
 _DIM = struct.Struct("<q")
-
-
-def resolve_codec(codec: str | None) -> str:
-    """Resolve a codec mode: explicit arg > ``REPRO_WIRE_CODEC`` > auto."""
-    if codec is None:
-        codec = os.environ.get("REPRO_WIRE_CODEC", "auto")
-    if codec not in CODEC_MODES:
-        raise ValueError(
-            f"unknown wire codec {codec!r}; pick from {CODEC_MODES}"
-        )
-    return codec
 
 
 # ------------------------------------------------------------ array framing
@@ -177,7 +146,7 @@ def wire_bytes_pair_cms(count: int, segments: int, itemsize: int = 8) -> int:
 
 
 # ------------------------------------------------------------------- encode
-def encode_payload(payload: Any, codec: str = "auto") -> tuple[int, list, int]:
+def encode_payload(payload: Any) -> tuple[int, list, int]:
     """Encode ``payload`` for the wire.
 
     Returns ``(wire_kind, parts, nbytes)`` where ``parts`` is a list of
@@ -190,42 +159,30 @@ def encode_payload(payload: Any, codec: str = "auto") -> tuple[int, list, int]:
     """
     if payload is None:
         return W_NONE, [], 0
-    if codec != "pickle":
-        from ..core.messages import PairMessage, SegmentMessage
+    from ..core.messages import PairMessage, SegmentMessage
 
-        if isinstance(payload, np.ndarray):
-            parts: list = []
-            n = _frame_array(payload, parts)
-            return W_ND, parts, n
-        if isinstance(payload, PairMessage):
-            use_cms = False
-            bases = counts = None
-            if codec in ("auto", "cms"):
-                bases, counts = pair_runs(payload.ranks)
-                if codec == "cms":
-                    use_cms = True
-                else:
-                    itemsize = payload.values.dtype.itemsize
-                    use_cms = (
-                        wire_bytes_pair_cms(payload.count, int(bases.size), itemsize)
-                        < wire_bytes_pair_sss(payload.count, itemsize)
-                    )
-            parts = []
-            if use_cms:
-                n = _frame_array(bases, parts)
-                n += _frame_array(counts, parts)
-                n += _frame_array(payload.values, parts)
-                return W_PAIR_CMS, parts, n
-            n = _frame_array(payload.ranks, parts)
+    parts: list = []
+    if isinstance(payload, np.ndarray):
+        n = _frame_array(payload, parts)
+        return W_ND, parts, n
+    if isinstance(payload, PairMessage):
+        bases, counts = pair_runs(payload.ranks)
+        itemsize = payload.values.dtype.itemsize
+        if (wire_bytes_pair_cms(payload.count, int(bases.size), itemsize)
+                < wire_bytes_pair_sss(payload.count, itemsize)):
+            n = _frame_array(bases, parts)
+            n += _frame_array(counts, parts)
             n += _frame_array(payload.values, parts)
-            return W_PAIR_SSS, parts, n
-        if isinstance(payload, SegmentMessage):
-            # Already the paper's CMS form; frame it as-is.
-            parts = []
-            n = _frame_array(payload.bases, parts)
-            n += _frame_array(payload.counts, parts)
-            n += _frame_array(payload.values, parts)
-            return W_SEG, parts, n
+            return W_PAIR_CMS, parts, n
+        n = _frame_array(payload.ranks, parts)
+        n += _frame_array(payload.values, parts)
+        return W_PAIR_SSS, parts, n
+    if isinstance(payload, SegmentMessage):
+        # Already the paper's CMS form; frame it as-is.
+        n = _frame_array(payload.bases, parts)
+        n += _frame_array(payload.counts, parts)
+        n += _frame_array(payload.values, parts)
+        return W_SEG, parts, n
     data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
     return W_PICKLE, [data], len(data)
 

@@ -27,7 +27,6 @@ from .basics import (
     gather,
     reduce,
 )
-from .extras import alltoallv, exscan, reduce_scatter, scan, scatter
 from .pipeline import optimal_chunk_words, prs_pipeline
 from .prefix import (
     PRS_ALGORITHMS,
@@ -46,12 +45,7 @@ __all__ = [
     "allgather",
     "allreduce",
     "alltoall",
-    "alltoallv",
     "bcast",
-    "exscan",
-    "reduce_scatter",
-    "scan",
-    "scatter",
     "choose_prs_algorithm",
     "estimate_prs_seconds",
     "gather",

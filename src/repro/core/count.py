@@ -18,10 +18,10 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ..collectives.basics import allreduce
+from ..collectives import basics
 from ..hpf.grid import GridLayout
 from ..machine.context import Context
-from ..machine.ops import CollectiveOp
+from ..runtime.primitives import allreduce
 
 __all__ = ["count_program", "count"]
 
@@ -47,16 +47,9 @@ def count_program(
     if ctx.size == 1:
         return local
     if ctx.spec.has_control_network:
-        def _combine(payloads: dict) -> tuple[dict, int]:
-            total = sum(payloads.values())
-            return ({r: total for r in payloads}, 1)
-
-        total = yield CollectiveOp(
-            group=tuple(range(ctx.size)), kind="count", payload=local,
-            combine=_combine,
-        )
+        total = yield from allreduce(ctx, local)
     else:
-        total = yield from allreduce(ctx, local, words=1)
+        total = yield from basics.allreduce(ctx, local, words=1)
     return int(total)
 
 

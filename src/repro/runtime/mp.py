@@ -102,7 +102,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..codecs.wire import decode_payload, encode_payload, resolve_codec
+from ..codecs.wire import decode_payload, encode_payload
 from ..faults.chaos import ChaosEvent, fire_chaos
 from ..machine.context import payload_words
 from ..machine.errors import CollectiveMismatchError, MessageError, ProgramError
@@ -710,9 +710,8 @@ class _RingTransport:
 
     kind = "ring"
 
-    def __init__(self, matrix: RingMatrix, codec: str):
+    def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
-        self.codec = codec
         self._ep = None
 
     def child_init(self, rank: int) -> "_RingTransport":
@@ -757,7 +756,7 @@ class _RingTransport:
             # mutate-after-send safety on every transport — carrying
             # the same bytes a remote send would put on the wire.
             t0 = monotonic() if rec is not None else 0.0
-            wire, parts, nbytes = encode_payload(payload, self.codec)
+            wire, parts, nbytes = encode_payload(payload)
             buf = bytearray(nbytes)
             off = 0
             for part in parts:
@@ -774,13 +773,13 @@ class _RingTransport:
         epoch, op_id = driver._stamp
         progress = lambda: self._progress(driver)  # noqa: E731
         if rec is None:
-            wire, parts, nbytes = encode_payload(payload, self.codec)
+            wire, parts, nbytes = encode_payload(payload)
             self._ep.send(dest, epoch=epoch, op_id=op_id, tag=tag, kind=0,
                           wire=wire, words=words, clock=clock,
                           parts=parts, nbytes=nbytes, progress=progress)
             return
         t0 = monotonic()
-        wire, parts, nbytes = encode_payload(payload, self.codec)
+        wire, parts, nbytes = encode_payload(payload)
         t1 = monotonic()
         rec.span(_PK_ENC, t0, t1)
         rec.sent(dest, nbytes)
@@ -792,7 +791,7 @@ class _RingTransport:
     def post_protocol(self, driver: "_Driver", dest: int, tag: int,
                       payload: Any) -> None:
         epoch, op_id = driver._stamp
-        wire, parts, nbytes = encode_payload(payload, self.codec)
+        wire, parts, nbytes = encode_payload(payload)
         self._ep.send(dest, epoch=epoch, op_id=op_id, tag=tag, kind=0,
                       wire=wire, words=0, clock=0.0,
                       parts=parts, nbytes=nbytes,
@@ -837,12 +836,12 @@ class _RingTransport:
         self.matrix.destroy()
 
 
-def _make_transport(name: str, mpctx, nprocs: int, codec: str):
+def _make_transport(name: str, mpctx, nprocs: int):
     """Host-side transport factory (pre-fork; registered for cleanup)."""
     if name == "ring":
         matrix = RingMatrix(nprocs)
         register_for_cleanup(matrix)
-        return _RingTransport(matrix, codec)
+        return _RingTransport(matrix)
     return _QueueTransport(mpctx, nprocs)
 
 
@@ -1400,10 +1399,6 @@ class MpBackend(Backend):
         ``"queue"`` (pickled ``multiprocessing.Queue`` mailboxes).
         ``None`` resolves ``REPRO_MP_TRANSPORT`` then the default — see
         :func:`~repro.runtime.base.resolve_transport`.
-    codec:
-        wire codec mode for the ring transport: ``"auto"`` (default,
-        per-message CMS-vs-SSS choice), ``"cms"``, ``"sss"``, or
-        ``"pickle"``.  ``None`` resolves ``REPRO_WIRE_CODEC`` then auto.
     """
 
     name = "mp"
@@ -1411,15 +1406,13 @@ class MpBackend(Backend):
     supports_faults = False
 
     def __init__(self, timeout: float | None = None, join_grace: float = 5.0,
-                 chaos=None, transport: str | None = None,
-                 codec: str | None = None):
+                 chaos=None, transport: str | None = None):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
         self.join_grace = join_grace
         self.chaos = chaos
         self.transport = resolve_transport(transport)
-        self.codec = resolve_codec(codec)
 
     def run_spmd(self, program: Callable, nprocs: int, **options) -> RunResult:
         """Run ``program`` on a fresh gang; see :meth:`Backend.run_spmd`."""
@@ -1430,7 +1423,6 @@ class MpBackend(Backend):
             timeout=self.timeout, retry=RetryPolicy(max_retries=0),
             on_exhaustion="raise", chaos=self.chaos,
             join_grace=self.join_grace, transport=self.transport,
-            codec=self.codec,
         ) as gang:
             return gang.run_spmd(program, nprocs, **options)
 

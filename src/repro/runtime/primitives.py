@@ -1,11 +1,12 @@
 """Backend-agnostic SPMD primitives.
 
-The classic coarse-grained primitive set — barrier, allreduce, exclusive
-prefix sum, alltoallv — expressed as generator helpers over the context /
-op protocol, so the same call works verbatim on every backend: the
-simulator executes the :class:`~repro.machine.ops.CollectiveOp` on its
-modeled control network; the multiprocessing backend runs it through the
-root-gather protocol over real pipes.
+The control-network collectives — barrier, allreduce, exclusive prefix
+sum — expressed as generator helpers over the context / op protocol, so
+the same call works verbatim on every backend: the simulator executes
+the :class:`~repro.machine.ops.CollectiveOp` on its modeled control
+network; the multiprocessing backend runs it through the root-gather
+protocol over real pipes.  The many-to-many personalized exchange (the
+classic alltoallv) is :func:`repro.machine.m2m.exchange`.
 
 Use with ``yield from`` inside a program::
 
@@ -13,7 +14,7 @@ Use with ``yield from`` inside a program::
         yield from barrier(ctx)
         total = yield from allreduce(ctx, value)
         offset = yield from exclusive_prefix_sum(ctx, value)
-        got = yield from alltoallv(ctx, {dest: chunk, ...})
+        got = yield from exchange(ctx, {dest: chunk, ...})
         return total, offset, got
 
 These are also what the ``repro runtime`` smoke command exercises to
@@ -26,10 +27,9 @@ from __future__ import annotations
 from typing import Any, Generator, Mapping, Sequence
 
 from ..machine.context import Context, payload_words
-from ..machine.m2m import exchange
 from ..machine.ops import CollectiveOp
 
-__all__ = ["barrier", "allreduce", "exclusive_prefix_sum", "alltoallv"]
+__all__ = ["barrier", "allreduce", "exclusive_prefix_sum"]
 
 
 def _resolve_group(ctx, group: Sequence[int] | None) -> tuple[int, ...]:
@@ -106,23 +106,3 @@ def exclusive_prefix_sum(
     )
     return result
 
-
-def alltoallv(
-    ctx: Context,
-    outgoing: Mapping[int, Any],
-    words: Mapping[int, int] | None = None,
-    schedule: str = "linear",
-) -> Generator[Any, Any, dict[int, Any]]:
-    """Many-to-many personalized exchange (variable-size all-to-all).
-
-    Thin alias over :func:`repro.machine.m2m.exchange` — the linear
-    permutation schedule with its count pre-exchange — provided here so
-    the primitive set is complete under one roof.  On the process-per-rank
-    backends the announced linear schedule lowers to the aggregated
-    native path (``MpContext.alltoallv_native``): one counts collective
-    plus bulk ring writes and an arrival-order drain, instead of a
-    generator suspension per peer message.  Returns
-    ``source -> payload`` of everything received (self included).
-    """
-    received = yield from exchange(ctx, outgoing, words=words, schedule=schedule)
-    return received

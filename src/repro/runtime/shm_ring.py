@@ -115,33 +115,19 @@ class RingConfig:
     """Geometry of one gang's ring matrix.
 
     Defaults keep a P=8 gang under 8 MiB of /dev/shm while letting a
-    whole conformance-sized message ride inline.  Env overrides
-    (``REPRO_RING_SLOTS``, ``REPRO_RING_SLOT_BYTES``,
-    ``REPRO_RING_SLAB_BYTES``) exist for the backpressure/spill tests
-    and for tuning on bigger machines.
+    whole conformance-sized message ride inline.  The backpressure and
+    spill tests build smaller geometries directly.
     """
 
     nslots: int = 64
     slot_bytes: int = 2048
     slab_bytes: int = 1 << 16
 
-    @classmethod
-    def from_env(cls, **overrides) -> "RingConfig":
-        def _pick(key: str, env: str, default: int) -> int:
-            if key in overrides and overrides[key] is not None:
-                return int(overrides[key])
-            return int(os.environ.get(env, default))
-
-        cfg = cls(
-            nslots=_pick("nslots", "REPRO_RING_SLOTS", cls.nslots),
-            slot_bytes=_pick("slot_bytes", "REPRO_RING_SLOT_BYTES", cls.slot_bytes),
-            slab_bytes=_pick("slab_bytes", "REPRO_RING_SLAB_BYTES", cls.slab_bytes),
-        )
-        if cfg.nslots < 2 or cfg.slot_bytes < RECORD.size + 8:
-            raise ValueError(f"ring config too small: {cfg}")
-        if cfg.slab_bytes < 64:
-            raise ValueError(f"slab ring too small: {cfg}")
-        return cfg
+    def __post_init__(self) -> None:
+        if self.nslots < 2 or self.slot_bytes < RECORD.size + 8:
+            raise ValueError(f"ring config too small: {self}")
+        if self.slab_bytes < 64:
+            raise ValueError(f"slab ring too small: {self}")
 
     @property
     def inline_max(self) -> int:
@@ -229,30 +215,23 @@ class _Doorbell:
 class RingMatrix:
     """The P×P ring fabric for one gang, backed by one shm segment.
 
-    The host constructs it (``create=True``) before forking; children
-    inherit the mapping through fork and build per-rank
+    The host constructs it before forking; children inherit the mapping
+    through fork and build per-rank
     :class:`RingEndpoint` views with :meth:`endpoint`.  The segment is
     zero-initialised by the kernel, which is exactly the initial
     counter state.
     """
 
-    def __init__(self, nprocs: int, config: RingConfig | None = None, *,
-                 create: bool = True, name: str | None = None) -> None:
+    def __init__(self, nprocs: int, config: RingConfig = RingConfig()) -> None:
         self.nprocs = int(nprocs)
-        self.config = config or RingConfig.from_env()
+        self.config = config
         p, cfg = self.nprocs, self.config
         self._off_flags = 0
         self._off_hdr = p * 8
         self._off_slots = self._off_hdr + p * p * _PAIR_HDR
         self._off_slab = self._off_slots + p * p * cfg.nslots * cfg.slot_bytes
         self.nbytes = self._off_slab + p * p * cfg.slab_bytes
-        if create:
-            self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
-            self._owner = True
-        else:
-            self._shm = _attach(name)
-            self._owner = False
-        self.name = self._shm.name
+        self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
         buf = self._shm.buf
         self._flags = np.frombuffer(buf, dtype=np.int64, count=p,
                                     offset=self._off_flags)
@@ -264,10 +243,7 @@ class RingMatrix:
             offset=self._off_hdr,
         ).reshape(p, p, 2, _CACHE_LINE // 8)
         self._raw = buf
-        # Doorbells exist only on the creating (pre-fork) side; an
-        # attach-by-name user (tests, tooling) gets ring state but no
-        # blocking wakeups.
-        self.doorbells = [_Doorbell() for _ in range(p)] if create else []
+        self.doorbells = [_Doorbell() for _ in range(p)]
         self._endpoints: list["RingEndpoint"] = []
 
     # -- geometry -----------------------------------------------------
@@ -306,21 +282,13 @@ class RingMatrix:
 
     def destroy(self) -> None:
         self.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:
+            pass
 
     def _emergency_cleanup(self) -> None:  # register_for_cleanup hook
         self.destroy()
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach without registering with the resource tracker (host owns it)."""
-    from .mp import _attach_shm
-
-    return _attach_shm(name)
 
 
 class RingEndpoint:
@@ -426,7 +394,7 @@ class RingEndpoint:
         self._my_byte_head[dst] = byte_head
 
     def _ring_doorbell(self, dst: int) -> None:
-        if self._flags[dst] and self.matrix.doorbells:
+        if self._flags[dst]:
             self.matrix.doorbells[dst].ring()
 
     # ------------------------------------------------------------ recv
@@ -572,8 +540,7 @@ class RingEndpoint:
                 return rec
         blocked = False
         yields = 0
-        bells = self.matrix.doorbells
-        bell = bells[self.rank] if bells else None
+        bell = self.matrix.doorbells[self.rank]
         while True:
             rec = self.poll()
             if rec is not None:
@@ -590,9 +557,6 @@ class RingEndpoint:
             if yields < _YIELDS:
                 yields += 1
                 os.sched_yield()
-                continue
-            if bell is None:
-                time.sleep(0.0005)
                 continue
             # Doorbell protocol: announce, re-check, then block bounded.
             self._flags[self.rank] = 1

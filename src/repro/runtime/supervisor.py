@@ -105,7 +105,6 @@ from ..faults.chaos import ChaosEvent, ChaosPlan, fire_chaos
 from ..machine.spec import CM5
 from ..machine.stats import RunResult, stats_from_snapshot
 from .base import Backend, BackendError, Deadline, resolve_transport
-from ..codecs.wire import resolve_codec
 from .mp import (
     MpGangError,
     _build_mp_profile,
@@ -677,11 +676,10 @@ class GangSupervisor(Backend):
         delivered at most ``times`` attempts each (see module docstring).
     join_grace:
         seconds to wait for exits before escalating to SIGKILL.
-    transport / codec:
-        message transport (``"ring"`` / ``"queue"``) and wire codec mode,
-        resolved by :func:`~repro.runtime.base.resolve_transport` and
-        :func:`~repro.codecs.wire.resolve_codec` — each gang epoch gets
-        its own ring matrix, torn down on reap.
+    transport:
+        message transport (``"ring"`` / ``"queue"``), resolved by
+        :func:`~repro.runtime.base.resolve_transport` — each gang epoch
+        gets its own ring matrix, torn down on reap.
 
     A supervisor instance is a context manager; :meth:`shutdown` reaps
     the gang.  The process-wide instance behind ``backend="supervised"``
@@ -705,7 +703,6 @@ class GangSupervisor(Backend):
         chaos: ChaosPlan | None = None,
         join_grace: float = 5.0,
         transport: str | None = None,
-        codec: str | None = None,
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -726,7 +723,6 @@ class GangSupervisor(Backend):
         self.spawn_timeout = spawn_timeout
         self.join_grace = join_grace
         self.transport = resolve_transport(transport)
-        self.codec = resolve_codec(codec)
         self.stats = SupervisorStats()
         self._chaos = _ChaosState(chaos)
         self._gang: _Gang | None = None
@@ -833,7 +829,7 @@ class GangSupervisor(Backend):
             # A one-op gang's ranks exit after the op that rode the fork:
             # no control queues.
             [mpctx.SimpleQueue() for _ in range(nprocs)] if self.persistent else [],
-            _make_transport(self.transport, mpctx, nprocs, self.codec),
+            _make_transport(self.transport, mpctx, nprocs),
             mpctx.SimpleQueue(), _HeartbeatBoard(nprocs),
             max(need, _INBOX_BYTES) if self.persistent else need, _SLOT_BYTES,
         )

@@ -71,6 +71,44 @@ class TestCount:
         assert res.elapsed < r.run.elapsed
 
 
+class TestSimulatedCostPin:
+    """COUNT's simulated cost, pinned exactly on the CM-5 (one control
+    network combine) and without a control network (point-to-point
+    tree), so any change to its reduction must stay bit-identical."""
+
+    MASK = np.random.default_rng(5).random((16, 32)) < 0.4
+
+    # (P, grid, has_control_network) -> (elapsed, ctrl_ops per rank,
+    # sends per rank, total words sent)
+    PINS = {
+        (4, (2, 2), True): (4.48e-05, 1, 0, 0),
+        (8, (2, 4), True): (3.84e-05, 1, 0, 0),
+        (4, (2, 2), False): (0.00018600000000000002, 0, 2, 8),
+        (8, (2, 4), False): (0.0002662, 0, 3, 24),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINS, key=str))
+    def test_exact_elapsed_and_traffic(self, key):
+        from repro.core import count_program
+        from repro.hpf import GridLayout
+        from repro.machine import CM5, Machine
+
+        P, grid, ctrl = key
+        spec = CM5 if ctrl else CM5.with_(has_control_network=False)
+        layout = GridLayout.create(self.MASK.shape, grid, block=(2, 4))
+        res = Machine(P, spec).run(
+            count_program, rank_args=[(b, layout) for b in layout.scatter(self.MASK)]
+        )
+        elapsed, ctrl_ops, sends, words = self.PINS[key]
+        assert res.results == [int(self.MASK.sum())] * P
+        assert res.elapsed == elapsed
+        assert [s.clock for s in res.stats] == [elapsed] * P
+        assert [s.ctrl_ops for s in res.stats] == [ctrl_ops] * P
+        assert [s.sends for s in res.stats] == [sends] * P
+        assert [s.recvs for s in res.stats] == [sends] * P
+        assert sum(s.words_sent for s in res.stats) == words
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(1, 6),

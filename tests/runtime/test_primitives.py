@@ -5,11 +5,11 @@ import pytest
 
 from repro.machine import MachineSpec
 from repro.machine.errors import CollectiveMismatchError
+from repro.machine.m2m import exchange
 from repro.runtime import (
     MpBackend,
     SimBackend,
     allreduce,
-    alltoallv,
     barrier,
     exclusive_prefix_sum,
 )
@@ -113,12 +113,13 @@ class TestPointToPoint:
         assert run.results[1] == [0, 1, 2, 3, 4]
 
     def test_alltoallv(self, backend):
+        """Variable-size all-to-all is the m2m exchange."""
         def prog(ctx):
             outgoing = {
                 q: np.full(ctx.rank + 1, ctx.rank * 10 + q, dtype=np.int64)
                 for q in range(ctx.size) if q != ctx.rank
             }
-            incoming = yield from alltoallv(ctx, outgoing)
+            incoming = yield from exchange(ctx, outgoing)
             return {int(q): np.asarray(v).tolist()
                     for q, v in incoming.items()}
 

@@ -3,11 +3,13 @@
 The ring transport must be invisible to results: every configuration
 that passes on the queue transport (and on the simulator, and against
 the serial oracle) must produce bit-identical output over the rings, at
-P=2 and P=4, for every wire codec mode.  And a SIGKILL delivered while
-a rank is blocked in a ring wait must classify as ``rank_death`` and
-recover under the supervisor — never deadlock the gang.
+P=2 and P=4, whichever pair wire form the encoder picks.  And a SIGKILL
+delivered while a rank is blocked in a ring wait must classify as
+``rank_death`` and recover under the supervisor — never deadlock the
+gang.
 """
 
+import functools
 import platform
 import time
 import warnings
@@ -26,12 +28,25 @@ from repro.runtime import (
     TRANSPORT_NAMES,
     resolve_transport,
 )
+from repro.runtime import mp as mp_module
+from repro.runtime.shm_ring import RingConfig, RingMatrix
 
 SPEC = MachineSpec(tau=10e-6, mu=1e-6, delta=0.1e-6, name="test")
 CORPUS = "tests/conformance/corpus"
+TINY_RINGS = RingConfig(nslots=4, slot_bytes=128, slab_bytes=256)
 
 FAST_RETRY = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05,
                          jitter=0.0, seed=0)
+
+
+def _use_tiny_rings(monkeypatch):
+    """Build every gang's ring matrix with a tiny geometry.
+
+    The host builds the matrix before forking, so patching its one
+    construction site reaches every rank.
+    """
+    monkeypatch.setattr(mp_module, "RingMatrix",
+                        functools.partial(RingMatrix, config=TINY_RINGS))
 
 
 def _workload(n=96, density=0.5, seed=3):
@@ -100,14 +115,18 @@ class TestBitEquality:
             np.testing.assert_array_equal(res.vector, sim.vector, err_msg=t)
             assert res.vector.dtype == sim.vector.dtype
 
-    @pytest.mark.parametrize("codec", ["auto", "sss", "cms", "pickle"])
-    def test_every_codec_mode_is_bit_identical(self, codec):
+    @pytest.mark.parametrize("block", [1, None])
+    def test_both_pair_wire_forms_are_bit_identical(self, block):
+        # SSS PACK ships pair messages.  A cyclic source (block 1)
+        # scatters each message's result ranks, so every message keeps
+        # the (rank, datum) form; contiguous blocks give long runs that
+        # ship as CMS segments.
         array, mask = _workload(seed=11)
-        sim = pack(array, mask, grid=(4,), spec=SPEC, validate=False,
-                   backend="sim")
-        mp = pack(array, mask, grid=(4,), spec=SPEC, validate=False,
-                  backend=MpBackend(timeout=120, transport="ring",
-                                    codec=codec))
+        kw = dict(grid=(4,), block=block, scheme="sss", spec=SPEC,
+                  validate=False)
+        sim = pack(array, mask, backend="sim", **kw)
+        mp = pack(array, mask, backend=MpBackend(timeout=120, transport="ring"),
+                  **kw)
         np.testing.assert_array_equal(mp.vector, sim.vector)
 
     @pytest.mark.parametrize("nprocs", [2, 4])
@@ -128,9 +147,7 @@ class TestConformanceCorpus:
         # them); what we vary here is the transport geometry — tiny
         # rings force wraparound and slab spill on real corpus traffic.
         monkeypatch.setenv("REPRO_MP_TRANSPORT", "ring")
-        monkeypatch.setenv("REPRO_RING_SLOTS", "4")
-        monkeypatch.setenv("REPRO_RING_SLOT_BYTES", "128")
-        monkeypatch.setenv("REPRO_RING_SLAB_BYTES", "256")
+        _use_tiny_rings(monkeypatch)
         failures = [
             (path.name, outcome.detail)
             for path, _bug, outcome in replay_corpus(CORPUS, backend="mp")
@@ -162,9 +179,7 @@ class TestSendBackpressure:
         # slab ring (256 B), and every rank is mid-send at once.  The
         # timeout bounds a regression to a clean MpGangError instead of
         # a hung gang.
-        monkeypatch.setenv("REPRO_RING_SLOTS", "4")
-        monkeypatch.setenv("REPRO_RING_SLOT_BYTES", "128")
-        monkeypatch.setenv("REPRO_RING_SLAB_BYTES", "256")
+        _use_tiny_rings(monkeypatch)
         n = 4096
         run = MpBackend(timeout=120, transport="ring").run_spmd(
             _eager_exchange_prog, nprocs, rank_args=[(n,)] * nprocs

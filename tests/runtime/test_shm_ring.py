@@ -258,20 +258,13 @@ class TestCooperativeBackpressure:
 
 
 class TestConfig:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RING_SLOTS", "8")
-        monkeypatch.setenv("REPRO_RING_SLOT_BYTES", "256")
-        monkeypatch.setenv("REPRO_RING_SLAB_BYTES", "1024")
-        cfg = RingConfig.from_env()
-        assert (cfg.nslots, cfg.slot_bytes, cfg.slab_bytes) == (8, 256, 1024)
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RING_SLOTS", "8")
-        assert RingConfig.from_env(nslots=16).nslots == 16
-
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            RingConfig.from_env(nslots=1)
+            RingConfig(nslots=1)
+        with pytest.raises(ValueError, match="too small"):
+            RingConfig(slot_bytes=RECORD.size)
+        with pytest.raises(ValueError, match="too small"):
+            RingConfig(slab_bytes=32)
 
     def test_destroy_is_idempotent(self):
         m = RingMatrix(2, SMALL)

@@ -1,7 +1,7 @@
-"""Wire codec: exact roundtrips, forced modes, and the CMS byte crossover.
+"""Wire codec: exact roundtrips and the CMS byte crossover.
 
 Every payload kind the transport ships must decode bit-identically from
-its wire bytes, and the ``auto`` mode must pick CMS exactly when the
+its wire bytes, and the encoder must pick CMS exactly when the
 paper's ``E + 2*Gs < 2*E`` condition holds at the byte level
 (``count*itemsize + 16*segments < count*(8+itemsize)``).
 """
@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from repro.codecs import (
-    CODEC_MODES,
     decode_payload,
     encode_payload,
     pair_runs,
-    resolve_codec,
     wire_bytes_pair_cms,
     wire_bytes_pair_sss,
 )
@@ -22,8 +20,8 @@ from repro.codecs.wire import W_ND, W_NONE, W_PAIR_CMS, W_PAIR_SSS, W_PICKLE, W_
 from repro.core.messages import PairMessage, SegmentMessage
 
 
-def roundtrip(obj, codec="auto"):
-    kind, parts, nbytes = encode_payload(obj, codec)
+def roundtrip(obj):
+    kind, parts, nbytes = encode_payload(obj)
     buf = b"".join(bytes(p) for p in parts)
     assert len(buf) == nbytes
     return kind, decode_payload(kind, buf)
@@ -108,22 +106,39 @@ class TestPairEncoding:
         assert kind == W_PAIR_SSS  # 100 singleton runs: pairs are smaller
         np.testing.assert_array_equal(back.ranks, pm.ranks)
 
-    def test_forced_modes(self):
-        scattered = PairMessage(ranks=np.arange(0, 200, 2, dtype=np.int64),
-                                values=np.ones(100))
-        dense = PairMessage(ranks=np.arange(100, dtype=np.int64),
-                            values=np.ones(100))
-        assert roundtrip(scattered, "cms")[0] == W_PAIR_CMS
-        assert roundtrip(dense, "sss")[0] == W_PAIR_SSS
-        assert roundtrip(dense, "pickle")[0] == W_PICKLE
+    @staticmethod
+    def _runs(lengths):
+        """A pair message whose ranks form runs of the given lengths."""
+        ranks, base = [], 0
+        for n in lengths:
+            ranks.extend(range(base, base + n))
+            base += n + 1  # gap: the next run starts a new segment
+        ranks = np.array(ranks, dtype=np.int64)
+        return PairMessage(ranks=ranks,
+                           values=np.arange(ranks.size, dtype=np.float64))
 
-    def test_forced_modes_still_roundtrip(self):
-        pm = PairMessage(ranks=np.array([2, 3, 4, 9, 20, 21], dtype=np.int64),
-                         values=np.arange(6.0))
-        for codec in CODEC_MODES:
-            _, back = roundtrip(pm, codec)
-            np.testing.assert_array_equal(back.ranks, pm.ranks)
-            np.testing.assert_array_equal(back.values, pm.values)
+    def _assert_exact(self, back, pm):
+        np.testing.assert_array_equal(back.ranks, pm.ranks)
+        np.testing.assert_array_equal(back.values, pm.values)
+        assert back.ranks.dtype == pm.ranks.dtype
+        assert back.values.dtype == pm.values.dtype
+
+    def test_tie_keeps_pairs(self):
+        # 100 elements in 50 runs: CMS and SSS bytes are equal (1600),
+        # and the encoder keeps the pair form on a tie.
+        pm = self._runs([2] * 50)
+        assert pair_runs(pm.ranks)[0].size == 50
+        kind, back = roundtrip(pm)
+        assert kind == W_PAIR_SSS
+        self._assert_exact(back, pm)
+
+    def test_one_run_below_tie_ships_segments(self):
+        # 100 elements in 49 runs: segments are 16 bytes smaller.
+        pm = self._runs([2] * 48 + [4])
+        assert pair_runs(pm.ranks)[0].size == 49
+        kind, back = roundtrip(pm)
+        assert kind == W_PAIR_CMS
+        self._assert_exact(back, pm)
 
     def test_crossover_at_mean_run_length_two(self):
         # CMS wins iff 16*segments < 8*count, i.e. mean run length > 2 —
@@ -140,21 +155,3 @@ class TestPairEncoding:
     def test_pair_runs_empty(self):
         bases, counts = pair_runs(np.empty(0, dtype=np.int64))
         assert bases.size == 0 and counts.size == 0
-
-
-class TestResolveCodec:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "sss")
-        assert resolve_codec("cms") == "cms"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "pickle")
-        assert resolve_codec(None) == "pickle"
-
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
-        assert resolve_codec(None) == "auto"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire codec"):
-            resolve_codec("zstd")
