@@ -1073,7 +1073,9 @@ def main(argv=None) -> int:
     p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
                          dest="max_delay_ms",
                          help="coalescing window: how long a request may "
-                              "wait for compatible peers (default 2 ms)")
+                              "wait for compatible peers while the engine "
+                              "is busy; an idle engine takes it at once "
+                              "(default 2 ms)")
     p_serve.add_argument("--max-batch", type=int, default=8, dest="max_batch",
                          help="max requests per coalesced gang (1 = solo)")
     p_serve.add_argument("--max-queue", type=int, default=256,

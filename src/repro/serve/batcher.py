@@ -1,11 +1,18 @@
 """Request coalescing: compatible requests within a window become one gang.
 
-The batcher holds each admitted request for at most ``max_delay`` seconds,
-grouping it with others whose :meth:`~repro.serve.protocol.Request.batch_key`
-matches (same op, mask, geometry, scheme).  A full group (``max_batch``)
-flushes immediately; otherwise the window timer flushes whatever arrived.
-Requests with no batch key (unpack, redistribution, VECTOR pads) dispatch
-solo at once — coalescing never delays work that cannot coalesce.
+A request whose :meth:`~repro.serve.protocol.Request.batch_key` is set
+(same op, mask, geometry, scheme) dispatches at once when the engine is
+idle, i.e. no batch is in flight or waiting for a slot: nothing can join
+it, so a wait would only add latency.  While the engine is busy it is
+held, grouped with others of its key, and the group flushes at the
+first of: ``max_batch`` members, ``max_delay`` seconds since its first
+member arrived, or the engine going idle.  So a request waits only while
+another batch is running, and never longer than ``max_delay``.  A
+batchable request never goes solo while the engine is busy: under load,
+solo dispatch would queue one run per request behind the busy engine,
+where holding lets the backlog leave in full groups.  Requests with no
+batch key (unpack, redistribution, VECTOR pads) dispatch solo at once —
+coalescing never delays work that cannot coalesce.
 
 Each flush acquires the admission controller's max-inflight-batches
 semaphore, then runs the engine in the server's thread pool; responses
@@ -71,7 +78,8 @@ class Batcher:
         """Enqueue one admitted request (event-loop thread)."""
         preq.t_enqueue = perf_counter()
         key = preq.req.batch_key()
-        if key is None or self.max_batch <= 1 or self.max_delay == 0:
+        if (key is None or self.max_batch <= 1 or self.max_delay == 0
+                or not self._tasks):
             self._launch([preq])
             return
         group = self._groups.setdefault(key, [])
@@ -98,7 +106,14 @@ class Batcher:
             p.coalesced = len(group) > 1
         task = asyncio.get_running_loop().create_task(self._run(group))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._on_done)
+
+    def _on_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not self._tasks:
+            # Engine idle: a held group has nothing left to wait for.
+            for key in list(self._groups):
+                self._flush(key)
 
     # ------------------------------------------------------------- execution
     async def _run(self, group: list[PendingRequest]) -> None:

@@ -11,13 +11,14 @@ backend — by default the in-process simulator, or a warm persistent
 ``execute`` is synchronous and runs inside the server's thread pool;
 the supervisor's dispatch lock serializes gang ops submitted from
 concurrent batches, so ``max_inflight > 1`` is safe on every backend.
+Result arrays are base64-encoded here, on that pool's thread, as bytes
+(:func:`~repro.serve.protocol.encode_result`): the event loop only
+splices them into the response line.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from ..core.api import pack, ranking, unpack
 from ..core.multi import pack_many
@@ -27,7 +28,7 @@ from ..core.schemes import PackConfig
 from ..hpf.grid import GridLayout
 from ..machine.spec import CM5
 from ..runtime.base import get_backend
-from .protocol import Request, encode_array, error_body
+from .protocol import Request, encode_result, error_body
 
 __all__ = ["ExecutionEngine"]
 
@@ -114,7 +115,7 @@ class ExecutionEngine:
                 "id": r.id,
                 "ok": True,
                 "op": "pack",
-                "result": encode_array(v),
+                "result": encode_result(v),
                 "size": int(v.size),
                 "plan": plan,
             }
@@ -161,7 +162,7 @@ class ExecutionEngine:
             "id": req.id,
             "ok": True,
             "op": req.op,
-            "result": encode_array(np.asarray(result)),
+            "result": encode_result(result),
             "size": int(res.size),
             "plan": (res.plan_info or {}).get("cache"),
         }

@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import encode_array
+from .protocol import MAX_LINE, encode_array
 
 __all__ = ["LoadgenConfig", "request_roundtrip", "run_loadgen"]
 
@@ -136,7 +136,9 @@ async def _open_conn(
     deadline = perf_counter() + 10.0
     while True:
         try:
-            reader, writer = await asyncio.open_connection(cfg.host, cfg.port)
+            reader, writer = await asyncio.open_connection(
+                cfg.host, cfg.port, limit=MAX_LINE
+            )
             break
         except OSError:
             if perf_counter() >= deadline:

@@ -23,6 +23,7 @@ or ``{"id", "ok": false, "error": {"code", "message"}}`` with codes
 
 from __future__ import annotations
 
+import base64
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.plan import _nd_from_dict, _nd_to_dict, mask_fingerprint
+from ..core.plan import _nd_from_dict, mask_fingerprint
 
 __all__ = [
     "MAX_LINE",
@@ -39,6 +40,7 @@ __all__ = [
     "decode_array",
     "encode_array",
     "encode_response",
+    "encode_result",
     "error_body",
     "parse_request",
 ]
@@ -47,6 +49,8 @@ __all__ = [
 #: memory per connection (a 64 MiB line fits a ~24 MiB float64 payload).
 MAX_LINE = 64 * 1024 * 1024
 
+_SEP = (",", ":")
+_RESULT_OPEN = '{"result":{'
 _OPS = ("pack", "unpack", "ranking")
 _REDISTRIBUTE = (None, "selected", "whole")
 
@@ -62,7 +66,21 @@ class ProtocolError(ValueError):
 
 def encode_array(a: np.ndarray) -> dict:
     """Serialize an ndarray as a ``{"dtype", "shape", "data": b64}`` blob."""
-    return _nd_to_dict(np.ascontiguousarray(a))
+    blob = encode_result(a)
+    blob["data"] = blob["data"].decode("ascii")
+    return blob
+
+
+def encode_result(a: np.ndarray) -> dict:
+    """Response-side :func:`encode_array`: the same blob, but ``data`` is
+    base64 *bytes*, which :func:`encode_response` splices into the line
+    as is, so the JSON encoder never scans (or re-escapes) the payload."""
+    a = np.asarray(a, order="C")  # keeps 0-d shape, unlike ascontiguousarray
+    return {
+        "dtype": str(a.dtype),
+        "shape": list(a.shape),
+        "data": base64.b64encode(a),
+    }
 
 
 def decode_array(d: Mapping[str, Any], what: str = "array") -> np.ndarray:
@@ -234,8 +252,24 @@ def parse_request(line: bytes | str) -> Request:
 
 
 def encode_response(body: Mapping[str, Any]) -> bytes:
-    """One response line, newline-terminated."""
-    return (json.dumps(body, separators=(",", ":")) + "\n").encode()
+    """One response line, newline-terminated.
+
+    A ``result`` built by :func:`encode_result` goes first in the line,
+    its base64 bytes first in the result, joined in verbatim: base64
+    needs no JSON escaping.  Only the small envelope passes through
+    ``json.dumps``."""
+    result = body.get("result")
+    data = result.get("data") if isinstance(result, Mapping) else None
+    if not isinstance(data, bytes):
+        return (json.dumps(body, separators=_SEP) + "\n").encode()
+    meta = {k: v for k, v in result.items() if k != "data"}
+    rest = {k: v for k, v in body.items() if k != "result"}
+    head = json.dumps({"result": meta, **rest}, separators=_SEP)
+    tail = head[len(_RESULT_OPEN):]  # meta's members, then the envelope's
+    return b"".join((
+        b'{"result":{"data":"', data, b'"' if tail[0] == "}" else b'",',
+        tail.encode(), b"\n",
+    ))
 
 
 def error_body(rid: str | None, code: str, message: str) -> dict:

@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serve.protocol import (
     ProtocolError,
     decode_array,
     encode_array,
     encode_response,
+    encode_result,
     error_body,
     parse_request,
 )
@@ -168,3 +172,47 @@ def test_encode_response_and_error_body():
     body = error_body("x", "overloaded", "busy")
     assert body["ok"] is False
     assert body["error"]["code"] == "overloaded"
+
+
+# ------------------------------------------------ spliced response writer
+_DTYPES = st.sampled_from([
+    "bool", "int8", "int16", "int32", "int64", "uint8",
+    "float32", "float64", "complex128",
+])
+_SHAPES = st.one_of(
+    st.just(()),  # 0-d
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+)
+_IDS = st.one_of(
+    st.sampled_from(['q"1', "back\\slash", "r\u00e9sum\u00e9-\u2603", "\n"]),
+    st.text(min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=hnp.arrays(_DTYPES, _SHAPES),
+    rid=_IDS,
+    plan=st.sampled_from(["hit", "miss", None]),
+    queue_ms=st.floats(allow_nan=False),
+)
+def test_spliced_result_matches_plain_json(a, rid, plan, queue_ms):
+    envelope = {"id": rid, "ok": True, "op": "pack", "size": int(a.size),
+                "plan": plan, "batch": {"size": 2, "coalesced": True},
+                "timing": {"queue_ms": queue_ms}}
+    line = encode_response(dict(envelope, result=encode_result(a)))
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    doc = json.loads(line)
+    assert doc == json.loads(json.dumps(dict(envelope,
+                                             result=encode_array(a))))
+    back = decode_array(doc["result"])
+    assert back.dtype == a.dtype and back.shape == a.shape
+    assert back.tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+@given(rid=st.one_of(st.none(), _IDS), message=st.text(max_size=40))
+def test_error_bodies_take_the_plain_path(rid, message):
+    body = error_body(rid, "bad_request", message)
+    line = encode_response(body)
+    assert line == (json.dumps(body, separators=(",", ":")) + "\n").encode()
+    assert json.loads(line) == body

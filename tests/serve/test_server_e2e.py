@@ -110,16 +110,57 @@ def test_bad_request_line_keeps_connection_serving():
     assert by_id["r0"]["ok"]
 
 
+def _unpack_payload(rid="un"):
+    k = int(MASK.sum())
+    return {"id": rid, "op": "unpack", "grid": [2], "scheme": "css",
+            "mask": encode_array(MASK),
+            "vector": encode_array(np.arange(k, dtype=np.float64)),
+            "field": encode_array(np.full(N, -1.0))}
+
+
 def test_coalesced_requests_report_their_batch():
+    # A pack into an idle server dispatches at once; a slow UNPACK sent
+    # first keeps the engine busy, so the packs behind it coalesce.
     async def fn(srv):
+        srv.engine.execute = _slow(srv.engine, 0.2)
+        srv.batcher._execute = srv.engine.execute
         return await _client(
-            srv.host, srv.port, _pack_payloads(ARRAYS))
+            srv.host, srv.port, [_unpack_payload()] + _pack_payloads(ARRAYS))
 
     bodies = _serve(
         ServeConfig(max_delay=0.05, max_batch=len(ARRAYS)), fn)
-    for body in bodies:
+    assert bodies[0]["batch"] == {"size": 1, "coalesced": False}
+    for body in bodies[1:]:
         assert body["batch"] == {"size": len(ARRAYS), "coalesced": True}
         assert set(body["timing"]) == {"queue_ms", "execute_ms", "total_ms"}
+
+
+def test_idle_server_dispatches_a_lone_pack_at_once():
+    async def fn(srv):
+        return await _client(srv.host, srv.port, _pack_payloads(ARRAYS[:1]))
+
+    # A window far longer than the test's patience: only an immediate
+    # dispatch answers in time.
+    (body,) = _serve(ServeConfig(max_delay=30.0, max_batch=8), fn)
+    assert body["ok"] and body["batch"] == {"size": 1, "coalesced": False}
+    assert body["timing"]["queue_ms"] < 1000.0
+
+
+def test_loadgen_reads_responses_over_64_kib():
+    """asyncio's default 64 KiB line limit must not cut large replies."""
+    from repro.serve import LoadgenConfig
+    from repro.serve.loadgen import run_loadgen_async
+
+    async def fn(srv):
+        cfg = LoadgenConfig(port=srv.port, rate=20.0, duration=0.25,
+                            n=16384, ops=("unpack",), connections=1,
+                            timeout=20.0)
+        return await run_loadgen_async(cfg)
+
+    rep = _serve(ServeConfig(), fn)
+    # 16384 float64 = 128 KiB raw, ~175 KB of base64 per response.
+    assert rep["sent"] == 5
+    assert rep["ok"] == rep["sent"] and rep["errors"] == 0, rep
 
 
 # ------------------------------------------------------------ bit identity
