@@ -11,9 +11,9 @@ Commands:
   JSON (open in chrome://tracing or https://ui.perfetto.dev);
 * ``metrics`` — run a workload with a metrics registry and print/export
   the snapshot;
-* ``chaos`` — fault-injection matrix: run PACK+UNPACK with the reliable
-  transport across a seed x drop-rate grid and verify every cell against
-  the serial oracle (exit 1 on any mismatch);
+* ``chaos`` — real-process chaos: seeded SIGKILL/SIGSTOP/poison faults
+  against a supervised gang; every seed must recover to the bit-identical
+  fault-free answer (exit 1 otherwise);
 * ``plan`` — compile one workload's execution plan (the mask-dependent
   bookkeeping the plan cache stores), print its summary, optionally
   export the serialized plan or ``--repeat`` to demonstrate the cache
@@ -43,11 +43,6 @@ cores and reports wall times.
 Malformed geometry options (``--shape``, ``--grid``, ``--block``,
 ``--procs``) exit with status 2 and a one-line error, never a traceback.
 
-``pack``/``unpack`` accept the fault-injection family (``--fault-seed``,
-``--drop-rate``, ``--dup-rate``, ``--corrupt-rate``, ``--delay-rate``,
-``--crash-rank RANK:STEP``, ``--straggler RANK:FACTOR``, ``--reliable``)
-— see ``docs/fault_tolerance.md``.
-
 ``pack``/``unpack`` also accept ``--trace-out`` / ``--metrics-out`` /
 ``--report-out`` to capture observability artifacts from a normal run,
 and ``experiments`` accepts ``--metrics-out`` (before the experiment
@@ -64,8 +59,7 @@ Examples::
     python -m repro pack --shape 512x512 --grid 4x4 --block 4 --scheme sss
     python -m repro trace --nprocs 4 --n 1024 --block 8 --out pack.trace.json
     python -m repro metrics --op unpack --n 4096 --procs 8 --out m.json
-    python -m repro pack --n 4096 --procs 8 --drop-rate 0.05 --reliable
-    python -m repro chaos --seeds 3 --rates 0.01,0.05,0.1
+    python -m repro chaos --backend mp --procs 4 --seeds 3
     python -m repro conform --cases 200 --seed 4 --corpus tests/conformance/corpus
     python -m repro experiments table1 --full
 """
@@ -181,18 +175,6 @@ def _emit_observability(args, profiler) -> None:
         print(f"[report -> {args.report_out}]")
 
 
-def _parse_rank_map(entries, value_type, flag):
-    """Parse repeated ``RANK:VALUE`` options into a dict."""
-    out = {}
-    for entry in entries or ():
-        try:
-            rank_s, value_s = entry.split(":", 1)
-            out[int(rank_s)] = value_type(value_s)
-        except ValueError:
-            raise SystemExit(f"{flag} expects RANK:VALUE, got {entry!r}")
-    return out
-
-
 def _plan_cache_arg(args):
     """``plan_cache=`` argument for the core API from ``--plan-cache``."""
     return True if getattr(args, "plan_cache", "off") == "on" else None
@@ -210,37 +192,16 @@ def _print_plan_info(result) -> None:
     print(line)
 
 
-def _build_faults(args):
-    """(FaultPlan | None, reliability) from the ``--faults`` flag family."""
-    from .faults import FaultPlan
-
-    plan = FaultPlan(
-        seed=args.fault_seed,
-        drop_rate=args.drop_rate,
-        dup_rate=args.dup_rate,
-        corrupt_rate=args.corrupt_rate,
-        delay_rate=args.delay_rate,
-        crash_at=_parse_rank_map(args.crash_rank, int, "--crash-rank"),
-        stragglers=_parse_rank_map(args.straggler, float, "--straggler"),
-    )
-    if plan.is_noop:
-        plan = None
-    reliability = True if args.reliable else None
-    return plan, reliability
-
-
 def cmd_pack(args) -> int:
     from .core.api import pack
 
     array, mask, grid, block = _workload(args)
     profiler = _make_profiler(args)
-    faults, reliability = _build_faults(args)
     result = pack(
         array, mask, grid=grid, block=block, scheme=args.scheme,
         spec=_build_spec(args), redistribute=args.redistribute,
         validate=not args.no_validate, profiler=profiler,
-        faults=faults, reliability=reliability, backend=args.backend,
-        plan_cache=_plan_cache_arg(args),
+        backend=args.backend, plan_cache=_plan_cache_arg(args),
     )
     print(f"PACK {array.shape} on grid {grid}, block {block}, "
           f"scheme {args.scheme}: Size = {result.size}")
@@ -248,9 +209,6 @@ def cmd_pack(args) -> int:
     if args.backend != "sim":
         print(f"  backend {args.backend}: one OS process per rank, "
               f"{result.time_domain}-clock times")
-    if faults is not None:
-        print(f"  faults: {faults.describe()}"
-              f"{' + reliable transport' if reliability else ''}")
     print(f"  total {result.total_ms:9.3f} ms   local {result.local_ms:9.3f} ms")
     print(f"  prs   {result.prs_ms:9.3f} ms   m2m   {result.m2m_ms:9.3f} ms")
     if args.phases:
@@ -267,13 +225,12 @@ def cmd_unpack(args) -> int:
     size = int(mask.sum())
     rng = np.random.default_rng(args.seed + 1)
     profiler = _make_profiler(args)
-    faults, reliability = _build_faults(args)
     result = unpack(
         rng.random(size), mask, array, grid=grid, block=block,
         scheme=args.scheme if args.scheme in ("sss", "css") else "css",
         spec=_build_spec(args), validate=not args.no_validate,
-        profiler=profiler, faults=faults, reliability=reliability,
-        backend=args.backend, plan_cache=_plan_cache_arg(args),
+        profiler=profiler, backend=args.backend,
+        plan_cache=_plan_cache_arg(args),
     )
     print(f"UNPACK into {array.shape} on grid {grid}, block {block}: "
           f"Size = {result.size}")
@@ -281,9 +238,6 @@ def cmd_unpack(args) -> int:
     if args.backend != "sim":
         print(f"  backend {args.backend}: one OS process per rank, "
               f"{result.time_domain}-clock times")
-    if faults is not None:
-        print(f"  faults: {faults.describe()}"
-              f"{' + reliable transport' if reliability else ''}")
     print(f"  total {result.total_ms:9.3f} ms   local {result.local_ms:9.3f} ms")
     print(f"  prs   {result.prs_ms:9.3f} ms   m2m   {result.m2m_ms:9.3f} ms")
     _emit_observability(args, profiler)
@@ -291,86 +245,6 @@ def cmd_unpack(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Seed x drop-rate chaos matrix: every cell must stay oracle-correct."""
-    if args.backend == "mp":
-        return _chaos_mp(args)
-    from .core.api import pack, unpack
-    from .faults import FaultPlan
-    from .machine import RankFailureError
-    from .workloads import make_mask
-
-    spec = _build_spec(args)
-    shape = (args.n,)
-    grid = (args.procs,)
-    rng = np.random.default_rng(args.seed)
-    array = rng.random(shape)
-    mask = make_mask(shape, args.density, seed=args.seed)
-    vector = rng.random(int(mask.sum()))
-    rates = [float(r) for r in args.rates.split(",")]
-    seeds = range(args.fault_seed, args.fault_seed + args.seeds)
-
-    failures = []
-    cells = 0
-    print(f"chaos: PACK+UNPACK n={args.n} P={args.procs} on {spec.name}, "
-          f"dup={args.dup_rate} corrupt={args.corrupt_rate}")
-    for rate in rates:
-        times = []
-        for seed in seeds:
-            plan = FaultPlan(
-                seed=seed, drop_rate=rate,
-                dup_rate=args.dup_rate, corrupt_rate=args.corrupt_rate,
-            )
-            cells += 1
-            try:
-                r = pack(array, mask, grid=grid, scheme=args.scheme, spec=spec,
-                         faults=plan, reliability=True, validate=True)
-                u = unpack(vector, mask, array, grid=grid, scheme="css",
-                           spec=spec, faults=plan, reliability=True,
-                           validate=True)
-                times.append(r.total_ms + u.total_ms)
-            except Exception as exc:  # noqa: BLE001 - report every cell
-                failures.append((rate, seed, exc))
-                times.append(float("nan"))
-        cell_s = " ".join(f"{t:8.3f}" for t in times)
-        print(f"  drop={rate:<5g} sim-ms per seed: {cell_s}")
-
-    # Reproducibility spot check: the first cell twice, bit-for-bit.
-    plan = FaultPlan(seed=args.fault_seed, drop_rate=rates[0],
-                     dup_rate=args.dup_rate, corrupt_rate=args.corrupt_rate)
-    t1 = pack(array, mask, grid=grid, scheme=args.scheme, spec=spec,
-              faults=plan, reliability=True, validate=False).total_ms
-    t2 = pack(array, mask, grid=grid, scheme=args.scheme, spec=spec,
-              faults=plan, reliability=True, validate=False).total_ms
-    if t1 != t2:
-        failures.append((rates[0], args.fault_seed,
-                         AssertionError(f"non-reproducible: {t1} != {t2}")))
-    else:
-        print(f"  reproducibility: two identical runs -> {t1:.3f} ms (bit-for-bit)")
-
-    # Crash smoke: a mid-run rank crash must surface as RankFailureError.
-    # Step 1 = rank 1's second generator resumption, well inside any run.
-    try:
-        pack(array, mask, grid=grid, scheme=args.scheme, spec=spec,
-             faults=FaultPlan(seed=args.fault_seed, crash_at={1: 1}),
-             validate=False)
-        failures.append(("crash", args.fault_seed,
-                         AssertionError("crash did not raise RankFailureError")))
-    except RankFailureError as exc:
-        print(f"  crash smoke: {exc}")
-    except Exception as exc:  # noqa: BLE001
-        failures.append(("crash", args.fault_seed, exc))
-
-    if failures:
-        print(f"FAIL: {len(failures)}/{cells} chaos cells failed:")
-        for rate, seed, exc in failures:
-            print(f"  drop={rate} seed={seed}: {type(exc).__name__}: {exc}")
-        return 1
-    print(f"OK: {cells} chaos cells oracle-correct, reproducible, "
-          f"crash attribution works")
-    return 0
-
-
-def _chaos_mp(args) -> int:
     """Real-process chaos: seeded SIGKILL/SIGSTOP/poison faults against a
     supervised persistent gang.  Every seed must recover to the
     bit-identical fault-free answer; mean-time-to-recovery is reported."""
@@ -586,6 +460,8 @@ def cmd_loadgen(args) -> int:
           f"{report['shed']} shed, {report['errors']} error(s) in "
           f"{report['elapsed_s']:.2f} s "
           f"({report['throughput_rps']:.1f} req/s)")
+    for cause, count in report["error_causes"].items():
+        print(f"  {count} error(s): {cause}")
     if lat["p50"] is not None:
         print(f"  latency ms: p50={lat['p50']:.2f} p95={lat['p95']:.2f} "
               f"p99={lat['p99']:.2f} max={lat['max']:.2f}")
@@ -644,10 +520,8 @@ def cmd_conform(args) -> int:
             results = replay_corpus(args.corpus, backend=args.backend)
             label = f"backend={args.backend}"
         bad = [(p, bug, o) for p, bug, o in results if not o.ok]
-        skipped = sum(1 for _, _, o in results if o.kind == "skipped")
         print(f"corpus ({label}): {len(results)} entr(ies) from {args.corpus}: "
-              f"{len(bad)} failure(s)"
-              + (f", {skipped} skipped (simulator-only)" if skipped else ""))
+              f"{len(bad)} failure(s)")
         for path, bug, outcome in bad:
             print(f"  REGRESSION {path.name}: {outcome}\n    pinned bug: {bug}")
         failed += len(bad)
@@ -946,30 +820,6 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
                    help="write the structured RunReport JSON")
 
 
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("fault injection (seeded, deterministic)")
-    g.add_argument("--fault-seed", type=int, default=0, dest="fault_seed",
-                   help="seed of the fault decision stream")
-    g.add_argument("--drop-rate", type=float, default=0.0, dest="drop_rate",
-                   help="probability a data message is dropped in flight")
-    g.add_argument("--dup-rate", type=float, default=0.0, dest="dup_rate",
-                   help="probability a message is delivered twice")
-    g.add_argument("--corrupt-rate", type=float, default=0.0,
-                   dest="corrupt_rate",
-                   help="probability a payload is corrupted in flight")
-    g.add_argument("--delay-rate", type=float, default=0.0, dest="delay_rate",
-                   help="probability a message gets extra latency")
-    g.add_argument("--crash-rank", action="append", dest="crash_rank",
-                   metavar="RANK:STEP",
-                   help="crash RANK at scheduler step STEP (repeatable)")
-    g.add_argument("--straggler", action="append", dest="straggler",
-                   metavar="RANK:FACTOR",
-                   help="scale RANK's compute time by FACTOR (repeatable)")
-    g.add_argument("--reliable", action="store_true",
-                   help="route redistribution through the reliable "
-                        "transport (acks + retransmits + dedup)")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -979,19 +829,17 @@ def main(argv=None) -> int:
     p_pack = sub.add_parser("pack", help="run one simulated PACK")
     _add_workload_args(p_pack)
     _add_observability_args(p_pack)
-    _add_fault_args(p_pack)
     p_pack.add_argument("--redistribute", choices=("selected", "whole"))
     p_pack.add_argument("--phases", action="store_true", help="print all phases")
 
     p_unpack = sub.add_parser("unpack", help="run one simulated UNPACK")
     _add_workload_args(p_unpack)
     _add_observability_args(p_unpack)
-    _add_fault_args(p_unpack)
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="seed x drop-rate fault matrix; every cell must stay "
-             "oracle-correct under the reliable transport",
+        help="seeded real-process faults against a supervised gang; "
+             "every seed must recover bit-identically",
     )
     p_chaos.add_argument("--n", type=int, default=4096, help="1-D array size")
     p_chaos.add_argument("--procs", type=int, default=8, help="processor count")
@@ -1002,24 +850,16 @@ def main(argv=None) -> int:
     p_chaos.add_argument("--seed", type=int, default=0, help="workload seed")
     p_chaos.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
     p_chaos.add_argument("--seeds", type=int, default=3,
-                         help="fault seeds per drop rate")
-    p_chaos.add_argument("--rates", default="0.01,0.05,0.1",
-                         help="comma-separated drop rates")
-    p_chaos.add_argument("--dup-rate", type=float, default=0.02, dest="dup_rate")
-    p_chaos.add_argument("--corrupt-rate", type=float, default=0.02,
-                         dest="corrupt_rate")
-    p_chaos.add_argument("--backend", default="sim", choices=("sim", "mp"),
-                         help="'sim' injects simulated message faults; "
-                              "'mp' injects real process faults (SIGKILL/"
-                              "SIGSTOP/poison) into a supervised gang and "
-                              "asserts bit-identical recovery")
+                         help="chaos seeds, one supervised gang each")
+    p_chaos.add_argument("--backend", default="mp", choices=("mp",),
+                         help="the gang's backend (real processes only)")
     p_chaos.add_argument("--kills", type=int, default=1,
-                         help="real faults per seed (mp backend)")
+                         help="real faults per seed")
     p_chaos.add_argument("--kill-kinds", default="kill", dest="kill_kinds",
                          help="comma-separated mp fault kinds drawn per "
                               "seed: kill,stop,delay,poison")
     p_chaos.add_argument("--timeout", type=float, default=120.0,
-                         help="wall-clock budget per supervised op (mp)")
+                         help="wall-clock budget per supervised op")
 
     p_trace = sub.add_parser(
         "trace", help="run a workload and emit a Chrome-trace JSON"

@@ -4,8 +4,8 @@ The paper's algorithms must agree with the serial Fortran 90 semantics
 (:mod:`repro.serial.reference`) for *every* legal configuration — any rank
 ``d``, any per-dimension BLOCK / CYCLIC / CYCLIC(k) distribution, any mask
 density including the degenerate all-false / all-true extremes, zero-length
-extents, ragged result-vector layouts, and fault plans under the reliable
-transport.  Hand-written tests sample that space; this package sweeps it:
+extents and ragged result-vector layouts.  Hand-written tests sample that
+space; this package sweeps it:
 
 * :mod:`~repro.conformance.cases` — a serializable configuration point
   (:class:`ConformanceCase`) plus input materialization and a

@@ -5,11 +5,11 @@ UNPACK execution: the operation, array shape (numpy order, zero extents
 allowed), processor grid, per-axis distribution, storage scheme, mask
 construction, dtypes, result-vector layout, redistribution pre-pass,
 request compression, PRS / many-to-many algorithm choices, machine
-profile, padding, surplus vector length, and an optional fault plan with
-the reliable transport.  Input arrays are a pure function of the case
-(seeded), so a case value *is* a reproduction: ``case.snippet()`` emits a
-standalone script, and JSON round-tripping (:meth:`to_dict` /
-:meth:`from_dict`) is what the regression corpus stores.
+profile, padding and surplus vector length.  Input arrays are a pure
+function of the case (seeded), so a case value *is* a reproduction:
+``case.snippet()`` emits a standalone script, and JSON round-tripping
+(:meth:`to_dict` / :meth:`from_dict`) is what the regression corpus
+stores.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class ConformanceCase:
     machine: str = "cm5"
     pad: bool = False
     vector_extra: int = 0
-    fault_seed: int | None = None
-    drop_rate: float = 0.0
-    dup_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    delay_rate: float = 0.0
-    reliable: bool = False
 
     def __post_init__(self) -> None:
         # Accept any sequence for the per-axis fields (JSON gives lists)
@@ -199,29 +193,6 @@ class ConformanceCase:
         lo, hi = max(info.min, -100), min(info.max, 100)
         return rng.integers(lo, hi + 1, size).astype(dtype)
 
-    def fault_plan(self):
-        """The case's FaultPlan, or None when no fault knob is set.
-
-        Message faults are scoped to the reliable transport's tag: that is
-        the transport's contract (drops of unprotected control traffic —
-        ranking PRS hops, many-to-many handshakes — deadlock by design,
-        which is the documented reason the ``reliability`` knob exists).
-        """
-        if not any((self.drop_rate, self.dup_rate, self.corrupt_rate,
-                    self.delay_rate)):
-            return None
-        from ..faults import FaultPlan
-        from ..faults.reliable import RELIABLE_TAG
-
-        return FaultPlan(
-            seed=self.fault_seed if self.fault_seed is not None else self.seed,
-            drop_rate=self.drop_rate,
-            dup_rate=self.dup_rate,
-            corrupt_rate=self.corrupt_rate,
-            delay_rate=self.delay_rate,
-            target_tags=(RELIABLE_TAG,),
-        )
-
     # -------------------------------------------------------- serialization
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -272,13 +243,6 @@ class ConformanceCase:
             bits.append("pad")
         if self.vector_extra:
             bits.append(f"extra={self.vector_extra}")
-        if self.fault_plan() is not None:
-            bits.append(
-                f"faults(drop={self.drop_rate:g},dup={self.dup_rate:g},"
-                f"corrupt={self.corrupt_rate:g},delay={self.delay_rate:g})"
-            )
-        if self.reliable:
-            bits.append("reliable")
         return " ".join(bits)
 
     def snippet(self) -> str:

@@ -4,10 +4,11 @@ The draw is deliberately biased toward the regions where redistribution
 bugs hide: degenerate masks (all-false / all-true get a fixed share),
 zero-length and tiny extents, CYCLIC(k) distributions with more processors
 than elements, ragged result-vector layouts (``result_block``), mixed
-dtypes, and fault plans under the reliable transport.  Everything is a
-pure function of the stream drawn from ``numpy.random.default_rng(seed)``,
-so ``generate_cases(seed, n)[i]`` is stable forever — corpus entries and
-CI runs cite ``(seed, index)`` pairs.
+and mixed dtypes.  Everything is a pure function of the stream drawn from
+``numpy.random.default_rng(seed)``, so ``generate_cases(seed, n)[i]`` is
+the same on every run and platform and CI runs cite ``(seed, count)``
+pairs.  A change to the draw itself shifts the stream, which is why the
+regression corpus stores whole case dicts, not ``(seed, index)`` pairs.
 """
 
 from __future__ import annotations
@@ -118,23 +119,10 @@ def draw_case(rng: np.random.Generator, seed: int = 0) -> ConformanceCase:
         prs=prs, m2m_schedule=m2m, machine=machine,
         pad=bool(rng.random() < 0.2), vector_extra=vector_extra,
     )
-    # Fault plans ride the reliable transport on the data-moving ops.
-    if op in ("pack", "unpack", "roundtrip") and rng.random() < 0.15:
-        case = ConformanceCase(
-            **{
-                **case.to_dict(),
-                "fault_seed": int(rng.integers(0, 1 << 16)),
-                "drop_rate": float(_choice(rng, (0.0, 0.02, 0.05))),
-                "dup_rate": float(_choice(rng, (0.0, 0.02))),
-                "corrupt_rate": float(_choice(rng, (0.0, 0.02))),
-                "delay_rate": float(_choice(rng, (0.0, 0.1))),
-                "reliable": True,
-            }
-        )
     return case.normalized()
 
 
 def generate_cases(seed: int, n: int) -> list[ConformanceCase]:
-    """The first ``n`` cases of stream ``seed`` (stable across versions)."""
+    """The first ``n`` cases of stream ``seed`` (the same on every run)."""
     rng = np.random.default_rng(seed)
     return [draw_case(rng, seed=int(rng.integers(0, 1 << 31))) for _ in range(n)]

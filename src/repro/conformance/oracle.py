@@ -81,17 +81,13 @@ def run_case(
     """Execute the case's operation and check every applicable property.
 
     ``backend`` selects the execution backend (see :mod:`repro.runtime`);
-    the same oracle judges every backend.  Cases that depend on
-    simulator-only machinery (fault plans, the reliable transport) are
-    reported as ``kind="skipped"`` (``ok=True``) under other backends —
-    they exercise the simulated network, not the algorithms.
+    the same oracle judges every backend.
 
     ``plan_cache`` is forwarded to every library call (see
     :mod:`repro.core.plan_cache`): replaying a corpus with a shared cache
     checks that plan replay is bit-identical to fresh compilation — the
     oracle's comparisons are exact, so a stale or mis-keyed plan fails the
-    same way any other bug does.  Fault/reliability cases bypass the cache
-    inside the library itself.
+    same way any other bug does.
     """
     case = case.normalized()
     try:
@@ -111,8 +107,7 @@ def cross_check_case(
     The oracle's comparison is bit-exact against the one serial reference,
     so two backends that both pass are transitively bit-identical to each
     other — no separate pairwise comparison is needed.  The first failing
-    backend is reported (prefixed with its name); a case only the
-    simulator can run comes back ``kind="skipped"``.
+    backend is reported (prefixed with its name).
     """
     for backend in backends:
         outcome = run_case(case, backend=backend, plan_cache=plan_cache)
@@ -120,8 +115,6 @@ def cross_check_case(
             return CaseOutcome(
                 False, outcome.kind, f"[backend={backend}] {outcome.detail}"
             )
-        if outcome.kind == "skipped":
-            return outcome
     return _OK
 
 
@@ -132,14 +125,6 @@ def _run(
 
     mask = case.make_mask()
     spec = _spec(case)
-    faults = case.fault_plan()
-    reliability = True if (case.reliable or faults is not None) else None
-    if backend != "sim" and (faults is not None or reliability):
-        return CaseOutcome(
-            True, "skipped",
-            f"fault/reliability case needs the simulated network "
-            f"(backend={backend!r})",
-        )
     common = dict(
         grid=case.grid, block=case.block_arg(), spec=spec,
         prs=case.prs, m2m_schedule=case.m2m_schedule,
@@ -178,8 +163,7 @@ def _run(
         vector_arg = case.make_array("pad") if case.op == "pack_vector" else None
         result = pack(
             array, mask, scheme=case.scheme,
-            redistribute=case.redistribute, vector=vector_arg,
-            faults=faults, reliability=reliability, **common,
+            redistribute=case.redistribute, vector=vector_arg, **common,
         )
         expected = pack_reference(array, mask, vector_arg)
         if not _equal(result.vector, expected):
@@ -205,8 +189,7 @@ def _run(
         unpack_scheme = "css" if case.scheme == "cms" else case.scheme
         result = unpack(
             vector, mask, field, scheme=unpack_scheme,
-            compress_requests=case.compress_requests,
-            faults=faults, reliability=reliability, **common,
+            compress_requests=case.compress_requests, **common,
         )
         expected = unpack_reference(vector, mask, field)
         if not _equal(result.array, expected):
@@ -229,13 +212,12 @@ def _run(
     # roundtrip: UNPACK(PACK(A, M), M, A) == A for any mask.
     packed = pack(
         array, mask, scheme=case.scheme, redistribute=case.redistribute,
-        faults=faults, reliability=reliability, **common,
+        **common,
     )
     unpack_scheme = "css" if case.scheme == "cms" else case.scheme
     restored = unpack(
         packed.vector, mask, array, scheme=unpack_scheme,
-        compress_requests=case.compress_requests,
-        faults=faults, reliability=reliability, **common,
+        compress_requests=case.compress_requests, **common,
     )
     if not _equal(restored.array, array):
         return _mismatch("roundtrip", restored.array, array)

@@ -131,8 +131,7 @@ def replay_corpus(
     Returns ``(path, bug, outcome)`` per entry, sorted by filename, so the
     caller can assert all outcomes are ``ok`` (the tier-1 regression test)
     or print a table (the CLI).  ``backend`` replays the corpus on another
-    execution backend (fault/reliability entries come back
-    ``kind="skipped"`` there — see :func:`~repro.conformance.oracle.run_case`).
+    execution backend.
     ``plan_cache`` is forwarded to every case — replaying the corpus twice
     with one shared :class:`~repro.core.plan_cache.PlanCache` exercises
     plan compilation on the first pass and plan replay on the second,

@@ -5,9 +5,9 @@ any variant that still fails, until no candidate shrinks further or the
 evaluation budget runs out.  Candidates are ordered so the structural
 shrinks land first — shrink extents, drop axes, shrink the processor grid —
 then the distributions are simplified toward BLOCK, and finally the
-configuration knobs are reset one at a time (mask sparsified, faults
-removed, dtypes collapsed to float64, schedules to their defaults).  The
-result is the small, readable repro that goes into the corpus.
+configuration knobs are reset one at a time (mask sparsified, dtypes
+collapsed to float64, schedules to their defaults).  The result is the
+small, readable repro that goes into the corpus.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ def _candidates(case: ConformanceCase) -> Iterator[ConformanceCase]:
         yield replace(case, density=0.0)
         yield replace(case, density=round(case.density / 2, 3))
     # 5. Reset configuration knobs one at a time.
-    if case.fault_plan() is not None or case.reliable:
-        yield replace(case, fault_seed=None, drop_rate=0.0, dup_rate=0.0,
-                      corrupt_rate=0.0, delay_rate=0.0, reliable=False)
     if case.redistribute is not None:
         yield replace(case, redistribute=None)
     if case.compress_requests:

@@ -123,7 +123,7 @@ class _TimedResult:
     metrics: object = field(default=None, repr=False)
     _op: str = field(default="run", repr=False)
     _spec_name: str = field(default="?", repr=False)
-    #: Plan-cache outcome of this call (``{"cache": "hit"|"miss"|"off",
+    #: Plan-cache outcome of this call (``{"cache": "hit"|"miss",
     #: "compile_ms", "fingerprint", "plan_bytes"}``) when a ``plan_cache``
     #: was requested; ``None`` for plain calls.
     plan_info: dict | None = field(default=None, repr=False)
@@ -227,7 +227,7 @@ def _resolve_observers(profiler, tracer, metrics):
 
 def _make_config(
     scheme, prs, m2m_schedule, result_block, early_exit_scan,
-    compress_requests=False, reliability=None,
+    compress_requests=False,
 ) -> PackConfig:
     return PackConfig(
         scheme=Scheme.parse(scheme),
@@ -236,7 +236,6 @@ def _make_config(
         result_block=result_block,
         early_exit_scan=early_exit_scan,
         compress_requests=compress_requests,
-        reliability=reliability,
     )
 
 
@@ -244,10 +243,8 @@ def _make_config(
 class _PlanState:
     """Per-call plan-cache bookkeeping shared by pack/unpack/ranking.
 
-    ``status`` is ``None`` when no cache was requested, ``"off"`` when one
-    was requested but the call is ineligible (fault injection, reliable
-    transport — their charges are not a pure function of the key), else
-    ``"hit"`` / ``"miss"``.
+    ``status`` is ``None`` when no cache was requested, else ``"hit"`` /
+    ``"miss"``.
     """
 
     cache: object = None
@@ -258,15 +255,13 @@ class _PlanState:
 
 
 def _plan_setup(
-    plan_cache, bypass: bool, op: str, layout, config, mask,
+    plan_cache, op: str, layout, config, mask,
     n_result, spec_name: str, time_domain: str,
 ) -> _PlanState:
     """Resolve the cache and probe it for this call's key."""
     cache = resolve_plan_cache(plan_cache)
     if cache is None:
         return _PlanState()
-    if bypass:
-        return _PlanState(status="off")
     key = plan_key(
         op, layout, config, mask,
         n_result=n_result, spec=spec_name, time_domain=time_domain,
@@ -282,8 +277,6 @@ def _plan_finish(state: _PlanState, run, nprocs: int, metrics, rank_plan_of):
     """Store a freshly captured plan and build the call's plan-info dict."""
     if state.status is None:
         return None
-    if state.status == "off":
-        return {"cache": "off", "compile_ms": None}
     if state.capture:
         plan = Plan(
             key=state.key,
@@ -325,8 +318,6 @@ def pack(
     profile=None,
     tracer=None,
     metrics=None,
-    faults=None,
-    reliability=None,
     step_budget: int | None = None,
     time_budget: float | None = None,
     backend="sim",
@@ -374,15 +365,6 @@ def pack(
         :class:`~repro.machine.trace.Tracer` /
         :class:`~repro.obs.MetricsRegistry` pair.  All default off; plain
         calls pay nothing.
-    faults:
-        optional :class:`~repro.faults.FaultPlan` injected into the
-        simulated network (seeded, fully reproducible).  Under message
-        faults, pass ``reliability`` too or the run will (correctly)
-        deadlock / fail validation.
-    reliability:
-        ``True`` or a :class:`~repro.faults.ReliabilityConfig` to route
-        the redistribution rounds through the reliable transport; see
-        :class:`~repro.core.schemes.PackConfig`.
     step_budget / time_budget:
         optional progress-watchdog bounds forwarded to
         :class:`~repro.machine.engine.Machine`; a run exceeding them
@@ -395,9 +377,8 @@ def pack(
         :class:`~repro.runtime.GangSupervisor` gang, forked once and
         reused, with heartbeat monitoring and retry-based recovery from
         rank death), or a :class:`~repro.runtime.Backend` instance.
-        Simulator-only features (``faults``, ``reliability``, watchdog
-        budgets) raise :class:`~repro.runtime.BackendError` under the
-        process backends.
+        The simulator-only watchdog budgets raise
+        :class:`~repro.runtime.BackendError` under the process backends.
     plan_cache:
         opt-in plan/execute split (:mod:`repro.core.plan`): ``True`` /
         ``"on"`` uses the process-default
@@ -408,9 +389,7 @@ def pack(
         calls — results and simulated times stay bit-identical; under the
         wall-clock backends the recompute is genuinely skipped.
         ``redistribute`` runs compile their pre-pass bookkeeping into the
-        plan too (keyed as ``pack_red1`` / ``pack_red2``); only ``faults``
-        / ``reliability`` calls bypass the cache (reported as
-        ``plan_info["cache"] == "off"``).
+        plan too (keyed as ``pack_red1`` / ``pack_red2``).
 
     Returns a :class:`PackResult` whose ``vector`` matches Fortran 90
     ``PACK(array, mask)`` semantics exactly.
@@ -429,11 +408,9 @@ def pack(
     layout = GridLayout.create(array.shape, grid, block)
     config = _make_config(
         scheme, prs, m2m_schedule, result_block, early_exit_scan,
-        reliability=reliability,
     )
     tracer, metrics = _resolve_observers(profiler, tracer, metrics)
     exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults, reliability=reliability)
 
     n_result = None
     pad_layout = None
@@ -467,7 +444,6 @@ def pack(
                "whole": "pack_red2"}[redistribute]
     plan_state = _plan_setup(
         plan_cache,
-        bypass=(faults is not None or bool(reliability)),
         op=plan_op, layout=layout, config=config, mask=mask,
         n_result=n_result, spec_name=spec.name,
         time_domain=exec_backend.time_domain,
@@ -523,7 +499,6 @@ def pack(
         spec=spec,
         tracer=tracer,
         metrics=metrics,
-        faults=faults,
         step_budget=step_budget,
         time_budget=time_budget,
         profile=profile,
@@ -584,8 +559,6 @@ def unpack(
     profile=None,
     tracer=None,
     metrics=None,
-    faults=None,
-    reliability=None,
     step_budget: int | None = None,
     time_budget: float | None = None,
     backend="sim",
@@ -593,7 +566,7 @@ def unpack(
 ) -> UnpackResult:
     """Parallel UNPACK: scatter ``vector`` into the trues of ``mask``, with
     ``field_array`` filling the falses.  See :func:`pack` for parameters
-    (including ``faults`` / ``reliability`` / the watchdog budgets, and
+    (including the watchdog budgets, and
     ``plan_cache`` — an UNPACK plan additionally records each rank's
     incoming request tables, so a hit skips the whole phase-A request
     exchange); ``scheme`` must be ``"sss"`` or ``"css"``.  ``field_array``
@@ -628,18 +601,16 @@ def unpack(
     layout = GridLayout.create(mask.shape, grid, block)
     config = _make_config(
         scheme, prs, m2m_schedule, result_block, early_exit_scan,
-        compress_requests=compress_requests, reliability=reliability,
+        compress_requests=compress_requests,
     )
 
     tracer, metrics = _resolve_observers(profiler, tracer, metrics)
     exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults, reliability=reliability)
     vec_layout = input_vector_layout(int(vector.size), layout.nprocs, config)
     n_vector = int(vector.size)
 
     plan_state = _plan_setup(
         plan_cache,
-        bypass=(faults is not None or bool(reliability)),
         op="unpack", layout=layout, config=config, mask=mask,
         n_result=n_vector, spec_name=spec.name,
         time_domain=exec_backend.time_domain,
@@ -678,7 +649,6 @@ def unpack(
         spec=spec,
         tracer=tracer,
         metrics=metrics,
-        faults=faults,
         step_budget=step_budget,
         time_budget=time_budget,
         profile=profile,
@@ -759,7 +729,6 @@ def ranking(
     profile=None,
     tracer=None,
     metrics=None,
-    faults=None,
     step_budget: int | None = None,
     time_budget: float | None = None,
     pad: bool = False,
@@ -768,12 +737,9 @@ def ranking(
 ) -> RankingResult:
     """Run only the ranking stage and return the global rank array.
 
-    Ranking communicates via hardware collectives only (no point-to-point
-    data), so there is no ``reliability`` knob; ``faults`` can still
-    crash ranks or stretch straggler clocks.  ``pad`` lifts the ``P*W | N``
-    divisibility assumption exactly as in :func:`pack`: padding cells are
-    mask-false, contribute nothing to the prefix sums, and are cropped away
-    before the ranks are returned."""
+    ``pad`` lifts the ``P*W | N`` divisibility assumption exactly as in
+    :func:`pack`: padding cells are mask-false, contribute nothing to the
+    prefix sums, and are cropped away before the ranks are returned."""
     mask = np.asarray(mask, dtype=bool)
     if isinstance(grid, int):
         grid = (grid,)
@@ -786,13 +752,11 @@ def ranking(
         mask = pad_mask(mask, new_shape)
     tracer, metrics = _resolve_observers(profiler, tracer, metrics)
     exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults)
     layout = GridLayout.create(mask.shape, grid, block)
     config_scheme = Scheme.parse(scheme)
 
     plan_state = _plan_setup(
         plan_cache,
-        bypass=(faults is not None),
         op="ranking", layout=layout,
         # Ranking has no PackConfig; key it under the knobs that exist
         # (scheme, prs) with the remaining fields at their defaults.
@@ -824,7 +788,6 @@ def ranking(
         spec=spec,
         tracer=tracer,
         metrics=metrics,
-        faults=faults,
         step_budget=step_budget,
         time_budget=time_budget,
         profile=profile,

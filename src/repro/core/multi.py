@@ -178,7 +178,6 @@ def pack_many_program(
             schedule=config.m2m_schedule,
             self_copy_charge=config.charge_self_copy,
             tag=_GANG_TAG_BASE + k,
-            reliability=config.reliability,
         )
 
         ctx.phase(f"{phase_prefix}.decompose.{k}")
@@ -213,7 +212,6 @@ def pack_many(
     scheme="cms",
     spec=None,
     validate: bool = True,
-    faults=None,
     plan_cache=None,
     backend="sim",
     tracer=None,
@@ -224,9 +222,6 @@ def pack_many(
 
     Each returned vector equals ``PACK(arrays[k], mask)`` exactly; the
     simulated cost amortizes the mask-dependent stages across the gang.
-    ``faults`` injects a :class:`~repro.faults.FaultPlan`; pass
-    ``reliability=True`` (forwarded to :class:`PackConfig`) alongside it
-    to keep the gang exchanges correct under message faults.
 
     ``plan_cache`` (``True`` / a :class:`~repro.core.plan_cache.PlanCache`)
     compiles the mask-dependent prefix into a plan keyed as ``op="pack"``
@@ -251,13 +246,8 @@ def pack_many(
     config = PackConfig(scheme=scheme, **config_kw)
     spec_obj = spec if spec is not None else CM5
     exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults, reliability=config.reliability)
 
     cache = resolve_plan_cache(plan_cache)
-    if faults is not None or config.reliability:
-        # Fault injection / reliable transport perturb the charges the
-        # plan would replay; never cache those runs.
-        cache = None
     cached_plan = None
     capture = False
     if cache is not None:
@@ -298,7 +288,6 @@ def pack_many(
         spec=spec_obj,
         tracer=tracer,
         metrics=metrics,
-        faults=faults,
     )
     if capture:
         cache.put(key, Plan(

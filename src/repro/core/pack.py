@@ -256,7 +256,6 @@ def pack_program(
         words=words,
         schedule=config.m2m_schedule,
         self_copy_charge=config.charge_self_copy,
-        reliability=config.reliability,
     )
 
     # ----------------------------------------- stage 2e: placement into V

@@ -175,7 +175,6 @@ def pack_red1_program(
         words=words,
         schedule=config.m2m_schedule,
         self_copy_charge=config.charge_self_copy,
-        reliability=config.reliability,
     )
 
     # --------------------------------------------- rebuild temporary blocks

@@ -96,15 +96,6 @@ class PackConfig:
     validate:
         host-level API only: check the parallel result against the serial
         numpy oracle and raise on mismatch.
-    reliability:
-        ``None``/``False`` (default) runs the redistribution rounds on
-        the machine's native at-most-once sends; ``True`` or a
-        :class:`~repro.faults.reliable.ReliabilityConfig` routes them
-        through the reliable transport (checksums, acks, seeded-timeout
-        retransmits, dedup), which keeps PACK/UNPACK oracle-correct
-        under an injected :class:`~repro.faults.FaultPlan` that drops,
-        duplicates or corrupts data messages.  Coerced to a
-        ``ReliabilityConfig`` instance (or ``None``) at construction.
     """
 
     scheme: Scheme = Scheme.CMS
@@ -115,7 +106,6 @@ class PackConfig:
     result_block: int | None = None
     compress_requests: bool = False
     validate: bool = False
-    reliability: object = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme.parse(self.scheme))
@@ -125,9 +115,4 @@ class PackConfig:
             raise ValueError(f"unknown m2m schedule {self.m2m_schedule!r}")
         if self.result_block is not None and self.result_block < 1:
             raise ValueError(f"result_block must be >= 1, got {self.result_block}")
-        if self.reliability is not None:
-            from ..faults.reliable import ReliabilityConfig
 
-            object.__setattr__(
-                self, "reliability", ReliabilityConfig.coerce(self.reliability)
-            )

@@ -254,8 +254,7 @@ def unpack_program(
             words=words,
             schedule=config.m2m_schedule,
             self_copy_charge=config.charge_self_copy,
-            reliability=config.reliability,
-        )
+            )
 
         if capture:
             phase_names = ranking_phase_names(grid.d, f"{phase_prefix}.ranking")
@@ -309,30 +308,16 @@ def unpack_program(
     if ctx.rank in replies:
         ctx.local_copy(int(replies[ctx.rank].size), charge=config.charge_self_copy)
         got_values[ctx.rank] = replies[ctx.rank]
-    if config.reliability is not None:
-        # The reply round rides the same reliable endpoint as the request
-        # round; every rank we sent a request to owes us exactly one reply.
-        from ..faults.reliable import ReliableEndpoint
-
-        endpoint = ReliableEndpoint.of(ctx, config.reliability)
-        got = yield from endpoint.exchange(
-            {d: v for d, v in replies.items() if d != ctx.rank},
-            {d: int(v.size) for d, v in replies.items()},
-            expected={d for d in request_set if d != ctx.rank},
-        )
-        for src, payload in got.items():
-            got_values[src] = np.asarray(payload)
-    else:
-        for k in range(1, P):
-            dest = (ctx.rank + k) % P
-            src = (ctx.rank - k) % P
-            if dest in replies:
-                ctx.send(
-                    dest, replies[dest], words=int(replies[dest].size), tag=_TAG_REPLY
-                )
-            if src in request_set:
-                msg = yield ctx.recv(source=src, tag=_TAG_REPLY)
-                got_values[src] = np.asarray(msg.payload)
+    for k in range(1, P):
+        dest = (ctx.rank + k) % P
+        src = (ctx.rank - k) % P
+        if dest in replies:
+            ctx.send(
+                dest, replies[dest], words=int(replies[dest].size), tag=_TAG_REPLY
+            )
+        if src in request_set:
+            msg = yield ctx.recv(source=src, tag=_TAG_REPLY)
+            got_values[src] = np.asarray(msg.payload)
 
     if ctx.metrics is not None:
         # The READ pattern's two-phase volume: requests out, values served.

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         print(report)
         print(f"\n[{name}: generated in {wall:.1f}s wall]")
         print()
-        sections.append((name, report, wall))
+        sections.append((name, report))
 
     if args.write:
         size = "paper-exact" if args.full else "fast (16x-reduced)"
@@ -59,14 +59,14 @@ def main(argv=None) -> int:
             "see docs/cost_model.md.",
             "",
         ]
-        for name, report, wall in sections:
+        # Wall time stays on stdout: the file is a pure function of the
+        # code, so CI can rebuild it and diff.
+        for name, report in sections:
             lines.append(f"## {name}")
             lines.append("")
             lines.append("```")
             lines.append(report)
             lines.append("```")
-            lines.append("")
-            lines.append(f"_Generated in {wall:.1f}s wall time._")
             lines.append("")
         with open(args.write, "w") as fh:
             fh.write("\n".join(lines))

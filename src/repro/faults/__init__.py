@@ -1,60 +1,15 @@
-"""Deterministic fault injection and reliable transport.
+"""Seeded real-process faults for the multiprocessing runtime.
 
-The paper's machine model (and the seed simulator) assumes a perfectly
-reliable network: every message sent is eventually received, every rank
-runs to completion, and all processors run at the modeled speed.  Real
-coarse-grained machines violate all three.  This package makes those
-violations *first-class and reproducible*:
-
-* :class:`FaultPlan` — an immutable, seeded description of what goes
-  wrong: message drop / duplication / corruption / extra delay rates,
-  rank crash-at-step schedules, and per-rank straggler clock scaling.
-* :class:`FaultInjector` — the per-run state derived from a plan,
-  consulted by the engine's delivery and scheduling hooks.  Decisions
-  are drawn from a ``random.Random(seed)`` consumed in simulation
-  order, so a fixed ``(program, plan)`` pair reproduces bit-for-bit.
-* :class:`ChaosPlan` (:mod:`repro.faults.chaos`) — the same idea aimed
-  at the *real* process runtime: seeded placements of genuine OS faults
-  (self-inflicted ``SIGKILL``/``SIGSTOP``, delayed starts, poisoned
-  result messages) at exact program phases, recovered from by
-  :class:`~repro.runtime.supervisor.GangSupervisor`.
-* :mod:`repro.faults.reliable` — an end-to-end reliability layer built
-  *on top of* the simulated ops: sequence numbers, payload checksums,
-  positive acks, simulated-time retransmit timeouts and duplicate
-  suppression turn the faulty at-most-once network back into an
-  effectively exactly-once one.
-
-Usage::
-
-    from repro.faults import FaultPlan
-    plan = FaultPlan(seed=7, drop_rate=0.05)
-    machine = Machine(16, spec, faults=plan)
-    # ... or at the host level:
-    repro.pack(a, m, grid=16, faults=plan, reliability=True)
-
-The control network is assumed reliable (its hardware combining trees
-have dedicated links); faults apply to point-to-point data messages
-only.  See ``docs/fault_tolerance.md``.
+The paper's machine model, and the simulator built on it, assume a
+reliable network: every message sent is received exactly once.  Real
+gangs of OS processes still die, hang and start late.
+:class:`ChaosPlan` (:mod:`repro.faults.chaos`) places such faults —
+self-inflicted ``SIGKILL``/``SIGSTOP``, delayed starts, poisoned result
+messages — at exact program phases, and
+:class:`~repro.runtime.supervisor.GangSupervisor` recovers from them.
+See ``docs/fault_tolerance.md``.
 """
 
-from .plan import Corrupted, FaultPlan
-from .injector import FaultInjector
 from .chaos import ChaosEvent, ChaosPlan
-from .reliable import (
-    ReliabilityConfig,
-    ReliabilityError,
-    ReliableEndpoint,
-    checksum,
-)
 
-__all__ = [
-    "ChaosEvent",
-    "ChaosPlan",
-    "Corrupted",
-    "FaultInjector",
-    "FaultPlan",
-    "ReliabilityConfig",
-    "ReliabilityError",
-    "ReliableEndpoint",
-    "checksum",
-]
+__all__ = ["ChaosEvent", "ChaosPlan"]

@@ -1,10 +1,8 @@
 """Real-process chaos plans for the multiprocessing runtime.
 
-:class:`~repro.faults.FaultPlan` perturbs the *simulated* network: it
-drops, duplicates and corrupts messages inside the cost-model engine,
-where time is a number and a "crash" is a scheduler decision.  This
-module is its real-world counterpart: a :class:`ChaosPlan` injects
-faults into an actual gang of OS processes — a rank really receives
+The simulated network is reliable, as in the paper's machine model; a
+:class:`ChaosPlan` injects faults into an actual gang of OS processes
+instead — a rank really receives
 ``SIGKILL`` mid-collective, really freezes under ``SIGSTOP``, really
 starts late, or really posts a malformed result message — so the
 supervisor's recovery machinery (`repro.runtime.supervisor`) is tested

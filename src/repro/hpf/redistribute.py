@@ -154,7 +154,6 @@ def redistribute(
     phase: str | None = None,
     schedule: str = "linear",
     charge_detection: bool = True,
-    reliability=None,
 ) -> Generator[Any, Any, np.ndarray]:
     """Move this rank's block from layout ``src`` to layout ``dst``.
 
@@ -198,9 +197,7 @@ def redistribute(
     else:
         words = {dest: int(v.size) for dest, v in outgoing.items()}
     ctx.work(L_src * ADDR_OPS_PER_ELEMENT)
-    received = yield from exchange(
-        ctx, outgoing, words=words, schedule=schedule, reliability=reliability
-    )
+    received = yield from exchange(ctx, outgoing, words=words, schedule=schedule)
 
     out = np.empty(L_dst, dtype=local_block.dtype)
     for source, values in received.items():

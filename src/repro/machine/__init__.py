@@ -25,12 +25,10 @@ from .errors import (
     MessageError,
     PhaseError,
     ProgramError,
-    RankFailureError,
-    ReliabilityError,
     WatchdogError,
 )
 from .m2m import SCHEDULES, exchange, exchange_counts
-from .ops import ANY, TIMEOUT, Barrier, CollectiveOp, Message, Recv
+from .ops import ANY, Barrier, CollectiveOp, Message, Recv
 from .spec import CM5, ETHERNET_CLUSTER, IDEAL, LocalCostModel, MachineSpec
 from .stats import DEFAULT_PHASE, ProcStats, RunResult
 from .topology import Crossbar, Hypercube, Mesh2D, Ring, Topology, make_topology
@@ -64,12 +62,9 @@ __all__ = [
     "PhaseError",
     "ProcStats",
     "ProgramError",
-    "RankFailureError",
     "Recv",
-    "ReliabilityError",
     "RunResult",
     "SCHEDULES",
-    "TIMEOUT",
     "WatchdogError",
     "exchange",
     "exchange_counts",

@@ -57,7 +57,7 @@ def payload_words(payload: Any) -> int:
 class Context:
     """Handle through which one rank interacts with the simulated machine."""
 
-    __slots__ = ("rank", "size", "spec", "stats", "scratch", "_engine")
+    __slots__ = ("rank", "size", "spec", "stats", "_engine")
 
     #: Domain of this context's clock: programs that replay recorded
     #: charges (the plan/execute split) consult it to decide whether
@@ -69,11 +69,6 @@ class Context:
         self.size = size
         self.spec = spec
         self.stats = stats
-        #: Per-rank, per-run scratch space for library layers that need
-        #: state across calls (e.g. the reliable transport's sequence
-        #: numbers); cleared implicitly because contexts are rebuilt by
-        #: every :meth:`Machine.run`.
-        self.scratch: dict = {}
         self._engine = engine
 
     # ------------------------------------------------------------ local ops
@@ -84,12 +79,7 @@ class Context:
         if ops == 0:
             return
         self.stats.charge_ops(ops)
-        seconds = self.spec.work_time(ops)
-        scales = self._engine._work_scales
-        if scales is not None:
-            # Injected straggler: this node's CPU runs slower than modeled.
-            seconds *= scales[self.rank]
-        self.stats.advance(seconds)
+        self.stats.advance(self.spec.work_time(ops))
 
     def elapse(self, seconds: float) -> None:
         """Advance this rank's clock by a raw duration (rarely needed)."""
@@ -141,7 +131,6 @@ class Context:
         payload: Any,
         words: int | None = None,
         tag: int = 0,
-        auto_ack: tuple[Any, int] | None = None,
     ) -> None:
         """Send a message; never blocks.
 
@@ -149,16 +138,6 @@ class Context:
         two-level model charges the whole transfer to the communication
         step) and the message becomes available at the receiver at the
         sender's post-send clock.
-
-        ``auto_ack=(seq, ack_words)`` requests a *transport-level*
-        acknowledgment: for every copy of this message that actually
-        arrives intact, the engine deposits an ``("ACK", seq)`` message
-        of ``ack_words`` words back to the sender on the same tag — the
-        receiving node's NIC acks, like an active-message or RDMA
-        completion, so acks keep flowing even if the receiving program
-        has moved on or finished.  Acks travel the faulty network like
-        any other message.  This is the primitive under
-        :mod:`repro.faults.reliable`; ordinary programs leave it unset.
         """
         if not (0 <= dest < self.size):
             raise MessageError(f"rank {self.rank}: bad destination {dest}")
@@ -170,10 +149,7 @@ class Context:
         self.stats.advance(self.spec.message_time(words, hops))
         self.stats.sends += 1
         self.stats.words_sent += words
-        self._engine._deliver(
-            self.rank, dest, tag, payload, words, self.stats.clock,
-            auto_ack=auto_ack,
-        )
+        self._engine._deliver(self.rank, dest, tag, payload, words, self.stats.clock)
 
     def local_copy(self, words: int, charge: bool = False) -> None:
         """Model a self-addressed transfer.

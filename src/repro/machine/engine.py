@@ -13,24 +13,15 @@ Determinism
 Given the same programs and arguments, a run is bit-for-bit reproducible:
 ranks are resumed in rank order, message matching uses global sequence
 numbers to break ties, and no real time or randomness enters the engine.
-Fault injection preserves this: a :class:`~repro.faults.FaultPlan` draws
-its decisions from a seeded stream consumed in simulation order, so a
-fixed ``(program, plan)`` pair always fails identically.
+The network is reliable, as in the paper's model: every message sent is
+delivered exactly once.
 
-Fault injection and the watchdog
---------------------------------
-``faults=FaultPlan(...)`` intercepts the delivery path (message drop /
-duplication / corruption / delay), the scheduler (rank crash-at-step)
-and local-work charging (stragglers).  Timed receives
-(:class:`Recv` with ``timeout=``) expire conservatively — only when no
-rank can otherwise progress — which is what the reliable transport's
-retransmit timers build on.  When a run gets stuck, the engine
-attributes the failure: injected crashes raise
-:class:`~.errors.RankFailureError` naming the dead ranks and what was
-pending on them; genuine deadlocks raise
-:class:`~.errors.DeadlockError` carrying the blocked-rank wait-for
-graph; and ``step_budget`` / ``time_budget`` bound livelocks with
-:class:`~.errors.WatchdogError`.
+The watchdog
+------------
+When a run gets stuck, the engine attributes the failure: deadlocks
+raise :class:`~.errors.DeadlockError` carrying the blocked-rank
+wait-for graph, and ``step_budget`` / ``time_budget`` bound livelocks
+with :class:`~.errors.WatchdogError`.
 
 Clock semantics
 ---------------
@@ -52,11 +43,10 @@ from .errors import (
     CollectiveMismatchError,
     DeadlockError,
     ProgramError,
-    RankFailureError,
     WatchdogError,
 )
 from .mailbox import Mailbox
-from .ops import ANY, TIMEOUT, CollectiveOp, Message, Recv
+from .ops import ANY, CollectiveOp, Message, Recv
 from .spec import CM5, MachineSpec
 from .stats import ProcStats, RunResult
 
@@ -66,10 +56,7 @@ __all__ = ["Machine"]
 class _Proc:
     """Book-keeping for one rank's generator."""
 
-    __slots__ = (
-        "rank", "gen", "waiting", "send_value", "finished", "result",
-        "crashed", "deadline",
-    )
+    __slots__ = ("rank", "gen", "waiting", "send_value", "finished", "result")
 
     def __init__(self, rank: int, gen):
         self.rank = rank
@@ -78,13 +65,6 @@ class _Proc:
         self.send_value: Any = None
         self.finished = False
         self.result: Any = None
-        self.crashed = False
-        # Absolute expiry clock of a pending timed Recv, else None.
-        self.deadline: float | None = None
-
-    @property
-    def live(self) -> bool:
-        return not self.finished and not self.crashed
 
 
 class _PendingCollective:
@@ -133,8 +113,8 @@ class _EngineMetrics:
     __slots__ = (
         "registry",
         "sends", "words_sent", "message_words",
-        "recvs", "recv_wait_seconds", "recv_timeouts",
-        "auto_acks", "port_stalls", "port_stall_seconds",
+        "recvs", "recv_wait_seconds",
+        "port_stalls", "port_stall_seconds",
         "collectives", "collective_words",
         "collective_group_size", "collective_skew_seconds",
     )
@@ -146,8 +126,6 @@ class _EngineMetrics:
         self.message_words = registry.histogram("machine.message_words")
         self.recvs = registry.counter("machine.recvs")
         self.recv_wait_seconds = registry.histogram("machine.recv_wait_seconds")
-        self.recv_timeouts = registry.counter("machine.recv_timeouts")
-        self.auto_acks = registry.counter("machine.auto_acks")
         self.port_stalls = registry.counter("machine.port_stalls")
         self.port_stall_seconds = registry.histogram("machine.port_stall_seconds")
         self.collectives = registry.counter("machine.collectives")
@@ -187,7 +165,6 @@ class Machine:
         spec: MachineSpec = CM5,
         tracer=None,
         metrics=None,
-        faults=None,
         step_budget: int | None = None,
         time_budget: float | None = None,
     ):
@@ -208,10 +185,6 @@ class Machine:
         # Hot-path handles: bound once so per-event recording is attribute
         # loads plus an enabled-flag check (a disabled registry is a no-op).
         self._mx = _EngineMetrics(metrics) if metrics is not None else None
-        #: Optional :class:`~repro.faults.FaultPlan`; each run builds a
-        #: fresh seeded injector from it, so runs are independent and
-        #: identically reproducible.
-        self.fault_plan = faults
         #: Progress watchdog: max scheduler steps / max simulated seconds
         #: per run (None = unbounded, the seed behavior).
         self.step_budget = step_budget
@@ -224,8 +197,6 @@ class Machine:
         self._runnable_set: set[int] = set()
         self._pending_collectives: dict[tuple, _PendingCollective] = {}
         self._seq = 0
-        self._injector = None
-        self._work_scales: list[float] | None = None
         self._steps_total = 0
 
     # ------------------------------------------------------------------ API
@@ -262,11 +233,6 @@ class Machine:
         self._runnable = deque()
         self._runnable_set = set()
         self._steps_total = 0
-        self._injector = None
-        self._work_scales = None
-        if self.fault_plan is not None and not self.fault_plan.is_noop:
-            self._injector = self.fault_plan.build(self.nprocs, metrics=self.metrics)
-            self._work_scales = self._injector.work_scales
         # rx_port contention: per-destination busy schedule as parallel
         # sorted (starts, ends) lists of disjoint, coalesced intervals.
         self._port_busy: list[tuple[list[float], list[float]]] = [
@@ -294,8 +260,7 @@ class Machine:
 
     # --------------------------------------------------------------- engine
     def _make_runnable(self, rank: int) -> None:
-        proc = self._procs[rank]
-        if rank not in self._runnable_set and proc.live:
+        if rank not in self._runnable_set and not self._procs[rank].finished:
             self._runnable.append(rank)
             self._runnable_set.add(rank)
 
@@ -316,8 +281,8 @@ class Machine:
                         "time", self.time_budget, self._stats[rank].clock
                     )
                 continue
-            # Nobody runnable: all done, a timer to fire, or a dead end.
-            live = [p for p in self._procs if p.live]
+            # Nobody runnable: all done or a dead end.
+            live = [p for p in self._procs if not p.finished]
             if not live:
                 return
             # A blocked receive may still be satisfiable if a matching
@@ -331,43 +296,13 @@ class Machine:
                 if msg is None:
                     continue
                 p.waiting = None
-                p.deadline = None
                 self._complete_recv(p.rank, msg)
                 p.send_value = msg
                 self._make_runnable(p.rank)
                 woke = True
             if woke:
                 continue
-            # Timed receives expire only here — when nothing else can
-            # move — so a timeout can never race a message some runnable
-            # rank was still going to send.  Fire the earliest deadline
-            # (rank id breaks ties) and resume that rank with TIMEOUT.
-            timed = [
-                p for p in live
-                if isinstance(p.waiting, Recv) and p.deadline is not None
-            ]
-            if timed:
-                p = min(timed, key=lambda q: (q.deadline, q.rank))
-                st = self._stats[p.rank]
-                st.advance_to(p.deadline)
-                p.waiting = None
-                p.deadline = None
-                p.send_value = TIMEOUT
-                mx = self._mx
-                if mx is not None and mx.registry._enabled:
-                    mx.recv_timeouts.inc()
-                if self.tracer is not None:
-                    self.tracer.record(st.clock, p.rank, "timeout")
-                self._make_runnable(p.rank)
-                continue
             # Stuck for good: attribute the failure.
-            crashed = {
-                p.rank: self.fault_plan.crash_at.get(p.rank, 0)
-                for p in self._procs
-                if p.crashed
-            }
-            if crashed:
-                raise RankFailureError(crashed, pending=self._pending_on(crashed, live))
             blocked = {
                 p.rank: (p.waiting.describe() if p.waiting is not None else "nothing")
                 for p in live
@@ -395,41 +330,10 @@ class Machine:
     def _wait_for_graph(self, live: list[_Proc]) -> dict[int, tuple[int, ...]]:
         return {p.rank: self._waits_on(p) for p in live if p.waiting is not None}
 
-    def _pending_on(self, crashed: dict[int, int], live: list[_Proc]) -> dict[int, str]:
-        """For each crashed rank, what the survivors still need from it."""
-        pending: dict[int, str] = {}
-        for rank in sorted(crashed):
-            waiters = sorted(
-                p.rank for p in live
-                if p.waiting is not None and rank in self._waits_on(p)
-            )
-            unread = len(self._mailboxes[rank])
-            parts = []
-            if waiters:
-                parts.append(f"ranks {waiters} blocked on rank {rank}")
-            if unread:
-                parts.append(f"{unread} unread message(s) in its mailbox")
-            pending[rank] = "; ".join(parts) if parts else f"nothing pending on rank {rank}"
-        return pending
-
-    def _crash(self, rank: int) -> None:
-        proc = self._procs[rank]
-        proc.crashed = True
-        proc.waiting = None
-        proc.deadline = None
-        if proc.gen is not None:
-            proc.gen.close()
-        if self.tracer is not None:
-            self.tracer.record(self._stats[rank].clock, rank, "crash")
-
     def _step(self, rank: int) -> None:
         """Advance one rank until it blocks or finishes."""
         proc = self._procs[rank]
-        inj = self._injector
         while True:
-            if inj is not None and inj.should_crash(rank):
-                self._crash(rank)
-                return
             try:
                 op = proc.gen.send(proc.send_value)
             except StopIteration as stop:
@@ -444,8 +348,6 @@ class Machine:
                 msg = self._mailboxes[rank].match(op)
                 if msg is None:
                     proc.waiting = op
-                    if op.timeout is not None:
-                        proc.deadline = self._stats[rank].clock + op.timeout
                     return
                 self._complete_recv(rank, msg)
                 proc.send_value = msg
@@ -473,26 +375,8 @@ class Machine:
         payload: Any,
         words: int,
         send_clock: float,
-        auto_ack: tuple[Any, int] | None = None,
     ) -> None:
-        """Called by Context.send: enqueue the message and wake the receiver.
-
-        With a fault injector attached, the delivery may be dropped,
-        duplicated, corrupted or delayed here — after the sender already
-        paid its send cost, exactly like a real in-flight loss.  Messages
-        addressed to a crashed rank are dropped unconditionally.
-
-        ``auto_ack=(ack_payload, ack_words)`` asks for a transport-level
-        acknowledgment: for every copy that arrives *uncorrupted*, the
-        engine sends ``ack_payload`` back to the sender on the same tag,
-        originating at the copy's arrival time.  The ack is generated by
-        the destination node's network interface, not its program — it
-        costs the destination's CPU nothing and keeps flowing even when
-        the destination's program has finished — and it crosses the same
-        faulty network (it may itself be dropped, duplicated, corrupted
-        or delayed).  This is the primitive the reliable transport
-        (:mod:`repro.faults.reliable`) builds its retransmit loop on.
-        """
+        """Called by Context.send: enqueue the message and wake the receiver."""
         mx = self._mx
         if mx is not None and mx.registry._enabled:
             mx.sends.inc()
@@ -503,52 +387,6 @@ class Machine:
                 send_clock, source, "send",
                 dest=dest, tag=tag, words=words,
             )
-        inj = self._injector
-        if inj is None:
-            copies = ((payload, 0.0, False),)
-        else:
-            if self._procs[dest].crashed:
-                inj.drop_to_crashed()
-                if self.tracer is not None:
-                    self.tracer.record(
-                        send_clock, source, "fault",
-                        kind_of="drop", dest=dest, tag=tag, reason="crashed",
-                    )
-                return
-            copies = inj.deliveries(source, dest, tag, payload, words)
-            if not copies:
-                if self.tracer is not None:
-                    self.tracer.record(
-                        send_clock, source, "fault",
-                        kind_of="drop", dest=dest, tag=tag,
-                    )
-                return
-        for delivered_payload, extra_delay, corrupted in copies:
-            arrival = self._deposit(
-                source, dest, tag, delivered_payload, words, send_clock, extra_delay
-            )
-            if auto_ack is not None and not corrupted and dest != source:
-                ack_payload, ack_words = auto_ack
-                mx = self._mx
-                if mx is not None and mx.registry._enabled:
-                    mx.auto_acks.inc()
-                transit = self.spec.message_time(
-                    ack_words, self.spec.hops_between(dest, source)
-                )
-                self._deliver(dest, source, tag, ack_payload, ack_words, arrival + transit)
-
-    def _deposit(
-        self,
-        source: int,
-        dest: int,
-        tag: int,
-        payload: Any,
-        words: int,
-        send_clock: float,
-        extra_delay: float = 0.0,
-    ) -> float:
-        """Place one (possibly fault-modified) copy into dest's mailbox;
-        returns the copy's arrival time."""
         self._seq += 1
         arrival = send_clock  # sender already paid tau + mu*m
         if self.spec.rx_port and source != dest and words > 0:
@@ -561,7 +399,6 @@ class Machine:
             # be simulated-time order.
             transfer = self.spec.mu * words
             arrival = self._reserve_port(dest, send_clock - transfer, transfer)
-            mx = self._mx
             if mx is not None and mx.registry._enabled and arrival > send_clock:
                 # The destination's serial receive port was busy: the
                 # message landed later than the contention-free model
@@ -575,7 +412,7 @@ class Machine:
             payload=payload,
             words=words,
             send_time=send_clock,
-            arrival_time=arrival + extra_delay,
+            arrival_time=arrival,
             seq=self._seq,
         )
         self._mailboxes[dest].deposit(msg)
@@ -588,11 +425,9 @@ class Machine:
         if type(waiting) is Recv and waiting.matches(msg):
             taken = self._mailboxes[dest].match(waiting)
             proc.waiting = None
-            proc.deadline = None
             self._complete_recv(dest, taken)
             proc.send_value = taken
             self._make_runnable(dest)
-        return msg.arrival_time
 
     def _reserve_port(self, dest: int, ready: float, transfer: float) -> float:
         """Book ``transfer`` seconds on dest's receive port, no earlier

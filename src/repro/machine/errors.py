@@ -16,8 +16,6 @@ __all__ = [
     "CollectiveMismatchError",
     "MessageError",
     "PhaseError",
-    "RankFailureError",
-    "ReliabilityError",
     "TimeDomainError",
     "WatchdogError",
 ]
@@ -57,38 +55,10 @@ class DeadlockError(MachineError):
         super().__init__(detail)
 
 
-class RankFailureError(MachineError):
-    """One or more ranks crashed and the rest of the run got stuck on them.
-
-    Raised instead of a bare :class:`DeadlockError` when injected rank
-    crashes (see :class:`repro.faults.FaultPlan`) leave the surviving
-    ranks blocked.  Carries which ranks died (:attr:`crashed`, with the
-    step each died at) and what was still pending on them
-    (:attr:`pending`: blocked ranks waiting on a dead peer, and unread
-    messages sitting in dead mailboxes).
-    """
-
-    def __init__(
-        self,
-        crashed: dict[int, int],
-        pending: dict[int, str] | None = None,
-    ):
-        self.crashed = dict(crashed)
-        self.pending = dict(pending or {})
-        who = ", ".join(
-            f"rank {r} (at step {s})" for r, s in sorted(self.crashed.items())
-        )
-        detail = f"rank failure: {who} crashed"
-        if self.pending:
-            waits = "; ".join(f"{w}" for _, w in sorted(self.pending.items()))
-            detail += f"; pending on crashed ranks: {waits}"
-        super().__init__(detail)
-
-
 class WatchdogError(MachineError):
     """The run exceeded its progress budget (steps or simulated time).
 
-    A livelock — e.g. a retransmit storm — never raises
+    A livelock — e.g. two ranks ping-ponging forever — never raises
     :class:`DeadlockError` because some rank is always runnable; the
     watchdog budgets passed to :class:`~repro.machine.engine.Machine`
     bound it instead.
@@ -102,26 +72,6 @@ class WatchdogError(MachineError):
         super().__init__(
             f"watchdog: run exceeded its {kind} budget "
             f"({reached:g} > {limit:g} {unit})"
-        )
-
-
-class ReliabilityError(MachineError):
-    """The reliable transport gave up on a packet (retries exhausted).
-
-    The configured loss rate was not survivable with the configured
-    retry budget; raising beats both silent data loss and an opaque
-    deadlock.  Attributes name the sending rank, the destination and
-    the per-channel sequence number of the abandoned packet.
-    """
-
-    def __init__(self, rank: int, dest: int, seq: int, attempts: int):
-        self.rank = rank
-        self.dest = dest
-        self.seq = seq
-        self.attempts = attempts
-        super().__init__(
-            f"rank {rank}: gave up sending packet seq={seq} to rank {dest} "
-            f"after {attempts} attempts (all unacknowledged)"
         )
 
 

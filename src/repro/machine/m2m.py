@@ -113,7 +113,6 @@ def exchange(
     self_copy_charge: bool = False,
     tag: int = _DATA_TAG,
     announce: bool = True,
-    reliability=None,
 ) -> Generator[Any, Any, dict[int, Any]]:
     """Perform one many-to-many personalized exchange.
 
@@ -137,17 +136,6 @@ def exchange(
         previous exchange announced it) may skip it by passing a complete
         ``outgoing`` map and ``announce=False`` — then empty steps still
         send zero-word headers so receivers can terminate.
-    reliability:
-        ``None``/``False`` (default) uses the machine's native at-most-once
-        sends; a :class:`~repro.faults.reliable.ReliabilityConfig` (or
-        ``True`` for defaults) routes the whole round through the
-        reliable transport (:meth:`ReliableEndpoint.exchange
-        <repro.faults.reliable.ReliableEndpoint.exchange>`), which
-        survives an injected :class:`~repro.faults.plan.FaultPlan`
-        dropping / duplicating / corrupting messages.  The reliable path
-        keeps the count pre-exchange (on the control network when the
-        machine has one, else itself made reliable) and then fires all
-        data packets pipelined; ``schedule`` does not apply to it.
 
     Returns
     -------
@@ -161,42 +149,6 @@ def exchange(
         for d, p in outgoing.items()
     }
     received: dict[int, Any] = {}
-
-    if reliability is not None and reliability is not False:
-        from ..faults.reliable import ReliabilityConfig, ReliableEndpoint
-
-        cfg = ReliabilityConfig.coerce(reliability)
-        ctx.count("m2m.reliable_exchanges")
-        if ctx.rank in outgoing:
-            ctx.local_copy(sizes[ctx.rank], charge=self_copy_charge)
-            received[ctx.rank] = outgoing[ctx.rank]
-        endpoint = ReliableEndpoint.of(ctx, cfg)
-        if ctx.spec.has_control_network:
-            # The CM-5 control network is engineered reliable (and the
-            # fault model never touches it), so counts ride it as usual.
-            incoming_sizes = yield from exchange_counts(
-                ctx, {d: s for d, s in sizes.items() if d != ctx.rank}
-            )
-            incoming_sizes.pop(ctx.rank, None)
-        else:
-            # No control network: the count round itself crosses the
-            # faulty data network, so make it reliable too.  Every rank
-            # tells every other rank its outgoing volume (0 = nothing).
-            counts_out = {
-                d: int(sizes.get(d, 0)) for d in range(P) if d != ctx.rank
-            }
-            got_counts = yield from endpoint.exchange(
-                counts_out, {d: 1 for d in counts_out}, expected=range(P)
-            )
-            incoming_sizes = {s: int(c) for s, c in got_counts.items() if int(c)}
-        data_out = {
-            d: p
-            for d, p in outgoing.items()
-            if d != ctx.rank and sizes.get(d, 0) > 0
-        }
-        got = yield from endpoint.exchange(data_out, sizes, expected=incoming_sizes)
-        received.update(got)
-        return received
 
     if ctx.metrics is not None:
         # Exchange structure: how many partners each rank actually sends

@@ -16,9 +16,8 @@ buffered messages).  This version indexes the store instead:
 
 * one min-heap per ``(source, tag)`` **channel**, keyed by
   ``(arrival_time, seq)`` — arrival times within a channel need *not* be
-  monotone (receive-port gap-filling and injected delay faults can
-  reorder them), so a heap rather than a FIFO deque is required for the
-  exact seed contract;
+  monotone (receive-port gap-filling can reorder them), so a heap rather
+  than a FIFO deque is required for the exact seed contract;
 * ``source -> tags`` and ``tag -> sources`` secondary indexes, so a
   half-wildcard pattern peeks only the live channels it could match
   (typically a handful) instead of every message;

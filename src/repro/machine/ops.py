@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-__all__ = ["ANY", "TIMEOUT", "Message", "Recv", "CollectiveOp", "Barrier"]
+__all__ = ["ANY", "Message", "Recv", "CollectiveOp", "Barrier"]
 
 
 class _Any:
@@ -41,27 +41,6 @@ class _Any:
 
 #: Match any source rank or any tag in a :class:`Recv`.
 ANY = _Any()
-
-
-class _Timeout:
-    """Sentinel the engine resumes a timed :class:`Recv` with on expiry."""
-
-    _instance: "_Timeout | None" = None
-
-    def __new__(cls) -> "_Timeout":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "TIMEOUT"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Resumption value of a :class:`Recv` whose ``timeout`` expired.
-TIMEOUT = _Timeout()
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,24 +98,10 @@ class Recv:
     smallest ``(arrival_time, seq)``; per (source, tag) channel this gives
     FIFO order, which is the ordering guarantee the rest of the library
     relies on.
-
-    ``timeout`` (simulated seconds, relative to the moment the rank
-    blocks) makes the receive expire: the generator is resumed with
-    :data:`TIMEOUT` instead of a message.  The engine is conservative —
-    a timed receive expires only when no rank can otherwise make
-    progress — so a timeout never races a message that another runnable
-    rank was still going to send.  This is the primitive the reliable
-    transport's retransmit timers are built on
-    (:mod:`repro.faults.reliable`).
     """
 
     source: Any = ANY
     tag: Any = ANY
-    timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"Recv timeout must be > 0, got {self.timeout}")
 
     def matches(self, msg: Message) -> bool:
         if self.source is not ANY and msg.source != self.source:
@@ -148,8 +113,7 @@ class Recv:
     def describe(self) -> str:
         src = "ANY" if self.source is ANY else str(self.source)
         tag = "ANY" if self.tag is ANY else str(self.tag)
-        extra = "" if self.timeout is None else f", timeout={self.timeout:g}s"
-        return f"Recv(source={src}, tag={tag}{extra})"
+        return f"Recv(source={src}, tag={tag})"
 
 
 @dataclass(frozen=True)

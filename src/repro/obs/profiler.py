@@ -61,7 +61,7 @@ class RunReport:
     metrics:
         ``MetricsRegistry.snapshot()`` dict, or ``None``.
     plan:
-        plan-cache outcome of the call (``{"cache": "hit"|"miss"|"off",
+        plan-cache outcome of the call (``{"cache": "hit"|"miss",
         "compile_ms", "fingerprint", "plan_bytes"}``) when the host call
         used ``plan_cache=``; ``None`` otherwise.  On a hit,
         ``compile_ms`` is 0.0 — the compile prefix was replayed, not

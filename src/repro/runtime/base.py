@@ -163,20 +163,10 @@ class Backend(ABC):
     time_domain:
         the domain of every time this backend reports: ``"simulated"``
         or ``"wall"``.  Copied onto the :class:`RunResult`.
-    supports_faults:
-        whether seeded :class:`~repro.faults.FaultPlan` injection is
-        available.  Fault injection intercepts the *simulated* delivery
-        path, so only the simulator supports it.
-    supports_reliability:
-        whether the reliable transport (auto-ack retransmit loop) is
-        available; it needs the engine's NIC-level acks, so again only
-        the simulator supports it.
     """
 
     name: str = "?"
     time_domain: str = "simulated"
-    supports_faults: bool = False
-    supports_reliability: bool = False
 
     @abstractmethod
     def run_spmd(
@@ -190,7 +180,6 @@ class Backend(ABC):
         spec=None,
         tracer=None,
         metrics=None,
-        faults=None,
         step_budget: int | None = None,
         time_budget: float | None = None,
         profile=None,
@@ -210,23 +199,6 @@ class Backend(ABC):
         the backend's own time domain.  Profiles from different domains
         refuse to be compared, like the run aggregation helpers.
         """
-
-    # ------------------------------------------------------------- helpers
-    def reject_unsupported(self, faults=None, reliability=None) -> None:
-        """Raise :class:`BackendError` for simulator-only features."""
-        if faults is not None and not self.supports_faults:
-            raise BackendError(
-                f"backend {self.name!r} does not support fault injection; "
-                f"FaultPlan intercepts the simulated network — use backend='sim'"
-            )
-        if reliability is not None and reliability is not False and not self.supports_reliability:
-            # The mp transport is an OS pipe: already reliable, and the
-            # retransmit machinery needs the engine's NIC auto-acks.
-            raise BackendError(
-                f"backend {self.name!r} does not support the reliable "
-                f"transport (its pipes are already reliable); use "
-                f"backend='sim' for reliability experiments"
-            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(time_domain={self.time_domain!r})"

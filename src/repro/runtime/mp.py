@@ -78,9 +78,9 @@ shared-memory segment and kills stray children — see
 notices through its heartbeat and exits, after which the host's resource
 tracker unlinks the segments.
 
-Simulator-only features — fault injection, the reliable transport
-(``auto_ack``), timed receives, watchdog budgets in simulated seconds —
-are rejected with a clear :class:`~repro.runtime.base.BackendError`.
+Watchdog budgets count simulated steps and seconds, so they are a
+simulator-only feature: passing them is rejected with a clear
+:class:`~repro.runtime.base.BackendError`.
 
 Real-process faults *are* supported: ``MpBackend(chaos=ChaosPlan(...))``
 ships each rank its seeded :class:`~repro.faults.chaos.ChaosEvent`
@@ -868,7 +868,7 @@ class MpContext:
     time_domain = "wall"
 
     __slots__ = (
-        "rank", "size", "spec", "stats", "scratch",
+        "rank", "size", "spec", "stats",
         "_driver", "_tracer", "_metrics", "_mx", "_recorder", "_last",
         "_chaos",
     )
@@ -879,7 +879,6 @@ class MpContext:
         self.size = size
         self.spec = spec
         self.stats = stats
-        self.scratch: dict = {}
         self._driver = driver
         self._tracer = tracer
         self._metrics = metrics
@@ -946,13 +945,7 @@ class MpContext:
         payload: Any,
         words: int | None = None,
         tag: int = 0,
-        auto_ack: tuple[Any, int] | None = None,
     ) -> None:
-        if auto_ack is not None:
-            raise BackendError(
-                "mp backend: auto-ack sends belong to the reliable transport, "
-                "which only exists on the simulated network; use backend='sim'"
-            )
         if not (0 <= dest < self.size):
             raise MessageError(f"rank {self.rank}: bad destination {dest}")
         if tag < 0:
@@ -1164,12 +1157,6 @@ class _Driver:
                 raise ProgramError(self.rank, f"yielded unsupported op {op!r}")
 
     def _run_recv(self, op: Recv) -> Message:
-        if op.timeout is not None:
-            raise BackendError(
-                "mp backend: timed receives are a simulated-clock feature "
-                "(they underpin the reliable transport); use backend='sim'"
-            )
-
         def _match(item: tuple) -> bool:
             source, tag = item[0], item[1]
             if tag < 0:
@@ -1403,7 +1390,6 @@ class MpBackend(Backend):
 
     name = "mp"
     time_domain = "wall"
-    supports_faults = False
 
     def __init__(self, timeout: float | None = None, join_grace: float = 5.0,
                  chaos=None, transport: str | None = None):

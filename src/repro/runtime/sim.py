@@ -23,15 +23,12 @@ __all__ = ["SimBackend"]
 class SimBackend(Backend):
     """Run SPMD programs on the simulated coarse-grained machine.
 
-    All engine features are available: seeded fault injection, the
-    reliable transport, timed receives, watchdog budgets, tracing and
+    All engine features are available: watchdog budgets, tracing and
     metrics.  Times are in the spec's **simulated** seconds.
     """
 
     name = "sim"
     time_domain = "simulated"
-    supports_faults = True
-    supports_reliability = True
 
     def run_spmd(
         self,
@@ -44,7 +41,6 @@ class SimBackend(Backend):
         spec=None,
         tracer=None,
         metrics=None,
-        faults=None,
         step_budget: int | None = None,
         time_budget: float | None = None,
         profile=None,
@@ -69,7 +65,6 @@ class SimBackend(Backend):
             spec if spec is not None else CM5,
             tracer=own_tracer,
             metrics=metrics,
-            faults=faults,
             step_budget=step_budget,
             time_budget=time_budget,
         )

@@ -688,7 +688,6 @@ class GangSupervisor(Backend):
 
     name = "supervised"
     time_domain = "wall"
-    supports_faults = False
     #: Whether the gang outlives an op (see :class:`_OneOpGang`).
     persistent = True
 
@@ -889,7 +888,6 @@ class GangSupervisor(Backend):
         spec=None,
         tracer=None,
         metrics=None,
-        faults=None,
         step_budget: int | None = None,
         time_budget: float | None = None,
         profile=None,
@@ -902,7 +900,6 @@ class GangSupervisor(Backend):
             )
         if nprocs < 1:
             raise ValueError(f"need at least one processor, got {nprocs}")
-        self.reject_unsupported(faults=faults)
         if step_budget is not None or time_budget is not None:
             raise BackendError(
                 f"{self.name} backend: watchdog budgets count simulated "

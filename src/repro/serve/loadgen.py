@@ -8,8 +8,12 @@ seed: arrival times, mask pool, per-request array data, op mix.
 
 ``run_loadgen`` drives N pipelined connections and returns a structured
 report (throughput, latency percentiles, batch-occupancy histogram,
-shed/error counts, plan hit/miss mix).  ``request_roundtrip`` is the
-synchronous one-connection helper the tests and CI round-trips use.
+shed/error counts with their causes, plan hit/miss mix).  When a
+connection's reader stops — the server closed it or sent a line that is
+not JSON — every request still waiting on that connection fails at once
+with that cause instead of waiting out ``timeout``.
+``request_roundtrip`` is the synchronous one-connection helper the tests
+and CI round-trips use.
 """
 
 from __future__ import annotations
@@ -126,13 +130,15 @@ def _build_requests(cfg: LoadgenConfig) -> list[dict]:
 @dataclass
 class _Conn:
     writer: asyncio.StreamWriter
-    reader_task: asyncio.Task
+    reader_task: asyncio.Task | None = None
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    #: Response futures of the requests in flight on this connection.
+    pending: dict[str, asyncio.Future] = field(default_factory=dict)
+    #: Why the reader stopped; set once, after which nothing is answered.
+    dead: str | None = None
 
 
-async def _open_conn(
-    cfg: LoadgenConfig, pending: dict[str, asyncio.Future]
-) -> _Conn:
+async def _open_conn(cfg: LoadgenConfig) -> _Conn:
     deadline = perf_counter() + 10.0
     while True:
         try:
@@ -145,17 +151,33 @@ async def _open_conn(
                 raise
             await asyncio.sleep(0.05)
 
-    async def _read_loop():
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            body = json.loads(line)
-            fut = pending.pop(body.get("id"), None)
-            if fut is not None and not fut.done():
-                fut.set_result(body)
+    conn = _Conn(writer=writer)
 
-    return _Conn(writer=writer, reader_task=asyncio.create_task(_read_loop()))
+    async def _read_loop():
+        cause = "server closed the connection"
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                body = json.loads(line)
+                fut = conn.pending.pop(body.get("id"), None)
+                if fut is not None and not fut.done():
+                    fut.set_result(body)
+        except asyncio.CancelledError:
+            cause = "load generator closed the connection"
+            raise
+        except Exception as exc:  # noqa: BLE001 - any reader death fails waiters
+            cause = f"response reader failed: {type(exc).__name__}: {exc}"
+        finally:
+            conn.dead = cause
+            for fut in conn.pending.values():
+                if not fut.done():
+                    fut.set_exception(ConnectionError(cause))
+            conn.pending.clear()
+
+    conn.reader_task = asyncio.create_task(_read_loop())
+    return conn
 
 
 # ------------------------------------------------------------------ the run
@@ -165,11 +187,7 @@ async def _run_async(cfg: LoadgenConfig) -> dict:
     gaps = rng.exponential(1.0 / cfg.rate, size=len(payloads))
     arrivals = np.cumsum(gaps)
 
-    pending: dict[str, asyncio.Future] = {}
-    conns = [
-        await _open_conn(cfg, pending)
-        for _ in range(max(1, cfg.connections))
-    ]
+    conns = [await _open_conn(cfg) for _ in range(max(1, cfg.connections))]
 
     records: list[dict] = []
 
@@ -180,17 +198,27 @@ async def _run_async(cfg: LoadgenConfig) -> dict:
 
     async def _one(i: int, payload: dict, line: bytes) -> None:
         conn = conns[i % len(conns)]
-        fut = asyncio.get_running_loop().create_future()
-        pending[payload["id"]] = fut
         t_send = perf_counter()
-        async with conn.lock:
-            conn.writer.write(line)
-            await conn.writer.drain()
+        if conn.dead is not None:
+            records.append({"status": "error", "latency": 0.0,
+                            "cause": conn.dead})
+            return
+        fut = asyncio.get_running_loop().create_future()
+        conn.pending[payload["id"]] = fut
         try:
+            async with conn.lock:
+                conn.writer.write(line)
+                await conn.writer.drain()
             body = await asyncio.wait_for(fut, cfg.timeout)
         except asyncio.TimeoutError:
-            pending.pop(payload["id"], None)
+            conn.pending.pop(payload["id"], None)
             records.append({"status": "timeout", "latency": cfg.timeout})
+            return
+        except OSError as exc:  # includes the reader's ConnectionError
+            conn.pending.pop(payload["id"], None)
+            records.append({"status": "error",
+                            "latency": perf_counter() - t_send,
+                            "cause": str(exc) or type(exc).__name__})
             return
         latency = perf_counter() - t_send
         if body.get("ok"):
@@ -245,6 +273,11 @@ def _percentiles(lat_s: list[float]) -> dict:
 
 def _report(cfg: LoadgenConfig, records: list[dict], elapsed: float) -> dict:
     ok = [r for r in records if r["status"] == "ok"]
+    causes: dict[str, int] = {}
+    for r in records:
+        if r["status"] == "error":
+            cause = r.get("cause") or f"server error {r.get('code')}"
+            causes[cause] = causes.get(cause, 0) + 1
     occupancy: dict[str, int] = {}
     coalesced = 0
     plans = {"hit": 0, "miss": 0, "other": 0}
@@ -274,6 +307,7 @@ def _report(cfg: LoadgenConfig, records: list[dict], elapsed: float) -> dict:
         "errors": sum(
             1 for r in records if r["status"] in ("error", "timeout")
         ),
+        "error_causes": causes,
         "elapsed_s": elapsed,
         "throughput_rps": len(ok) / elapsed if elapsed > 0 else 0.0,
         "latency_ms": _percentiles([r["latency"] for r in ok]),

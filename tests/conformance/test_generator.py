@@ -54,11 +54,6 @@ class TestLegality:
             if case.prs == "ctrl":
                 assert case.machine == "cm5", case.describe()
 
-    def test_faults_imply_reliable_transport(self):
-        for case in CASES:
-            if case.fault_plan() is not None:
-                assert case.reliable, case.describe()
-
 
 class TestCoverage:
     """150 draws must visit the corners the fuzzer exists to reach."""
@@ -87,9 +82,6 @@ class TestCoverage:
 
     def test_ragged_result_layouts_drawn(self):
         assert any(c.result_block is not None for c in CASES)
-
-    def test_faulty_cases_drawn(self):
-        assert any(c.fault_plan() is not None for c in CASES)
 
     def test_mixed_dtype_unpacks_drawn(self):
         assert any(

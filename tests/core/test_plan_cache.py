@@ -160,18 +160,6 @@ def test_ops_do_not_share_entries():
     assert len(cache) == 3
 
 
-def test_faults_and_reliability_bypass():
-    from repro.faults import FaultPlan
-
-    array, mask = _workload(seed=8)
-    cache = PlanCache()
-    plan = FaultPlan(seed=0, drop_rate=0.05)
-    r = pack(array, mask, P, faults=plan, reliability=True, validate=False,
-             plan_cache=cache)
-    assert r.plan_info == {"cache": "off", "compile_ms": None}
-    assert len(cache) == 0
-
-
 # ----------------------------------------------------------- gang sharing
 def test_gang_pack_shares_plan_with_solo_pack():
     array, mask = _workload(seed=9)

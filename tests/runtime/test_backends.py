@@ -139,32 +139,11 @@ class TestTimeDomains:
 
 
 class TestUnsupportedFeatures:
-    def test_mp_rejects_faults(self):
-        from repro.faults import FaultPlan
-
-        a = np.arange(32, dtype=np.float64)
-        m = np.ones(32, dtype=bool)
-        with pytest.raises(BackendError, match="fault"):
-            pack(a, m, grid=2, spec=SPEC, backend="mp",
-                 faults=FaultPlan(seed=0, drop_rate=0.1))
-
-    def test_mp_rejects_reliability(self):
-        a = np.arange(32, dtype=np.float64)
-        m = np.ones(32, dtype=bool)
-        with pytest.raises(BackendError, match="reliab"):
-            pack(a, m, grid=2, spec=SPEC, backend="mp", reliability=True)
-
     def test_mp_rejects_simulated_budgets(self):
         with pytest.raises(BackendError, match="budget"):
             MpBackend().run_spmd(_ring_program, 2, step_budget=100)
         with pytest.raises(BackendError, match="budget"):
             MpBackend().run_spmd(_ring_program, 2, time_budget=1.0)
-
-    def test_sim_accepts_reliability(self):
-        # The simulator keeps the full feature set.
-        assert SimBackend().supports_faults
-        assert SimBackend().supports_reliability
-        SimBackend().reject_unsupported(faults=None, reliability=True)
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
