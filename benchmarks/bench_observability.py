@@ -11,7 +11,7 @@ PACK and writes ``BENCH_observability.json`` at the repo root:
 Modes: ``off`` (no observers), ``disabled`` (registry attached but
 muted — the engine pre-binds metric handles, every recording site is one
 cached-flag check), ``metrics`` (registry recording), ``full`` (tracer +
-registry, i.e. what ``repro trace`` uses).
+registry, i.e. what a ``PhaseProfiler`` attaches).
 
 ``--quick`` drops the repeat count for CI; ``--check`` exits non-zero
 unless the ``disabled`` mode's overhead is at most ``CHECK_LIMIT_PCT``

@@ -4,13 +4,16 @@ Commands:
 
 * ``info`` — library version, machine profiles, available schemes and PRS
   algorithms;
-* ``pack`` — run one parallel PACK on the simulated machine and print the
-  simulated phase times (a quick what-if tool);
-* ``unpack`` — the same for UNPACK;
-* ``trace`` — run a workload under the profiler and emit a Chrome-trace
-  JSON (open in chrome://tracing or https://ui.perfetto.dev);
-* ``metrics`` — run a workload with a metrics registry and print/export
-  the snapshot;
+* ``run {pack,unpack,ranking}`` — run one op through :func:`repro.pack`,
+  :func:`repro.unpack` or :func:`repro.ranking` and print one report in
+  the backend's own time domain (simulated under ``--backend sim``, host
+  wall under ``mp`` and ``supervised``): the result size, the
+  ``total/local/prs/m2m`` times and the
+  :class:`~repro.obs.runtime.RunProfile` phase table.  ``--trace-out``,
+  ``--metrics-out`` and ``--report-out`` export the per-rank Chrome trace,
+  the metrics snapshot and the profile JSON (with its P×P communication
+  matrix).  Exit 1 if the matrix breaks conservation or a supervised gang
+  fell back to the simulator.  See ``docs/observability.md``;
 * ``chaos`` — real-process chaos: seeded SIGKILL/SIGSTOP/poison faults
   against a supervised gang; every seed must recover to the bit-identical
   fault-free answer (exit 1 otherwise);
@@ -18,47 +21,30 @@ Commands:
   bookkeeping the plan cache stores), print its summary, optionally
   export the serialized plan or ``--repeat`` to demonstrate the cache
   hit.  See ``docs/plans.md``;
+* ``serve`` / ``loadgen`` — the async batching PACK/UNPACK service and a
+  seeded open-loop load generator for it.  See ``docs/serve.md``;
 * ``conform`` — differential conformance fuzzing: seeded random
   configurations checked against the serial reference, failures shrunk to
   minimal repros (exit 1 on any failure); ``--corpus DIR`` also replays
   the regression corpus, and ``--backend mp`` replays it on the
   real-process backend.  See ``docs/conformance.md``;
-* ``runtime`` — execution-backend smoke test: runs the primitive set
-  (barrier, allreduce, exclusive prefix sum, m2m exchange, a send/recv ring)
-  and a PACK/UNPACK round against the serial oracle on the chosen
-  backend (exit 1 on any failure).  See ``docs/runtime.md``;
-* ``profile`` — cross-rank runtime cost attribution: run an op under a
-  :class:`~repro.obs.runtime.RuntimeProfiler` and print the
-  phase-attribution table (what fraction of host wall is fork / pickle /
-  queue-wait / compute under ``--backend mp``), validate the P×P
-  communication matrix's conservation invariant, and optionally export
-  the merged per-rank Chrome trace / matrix / profile JSON;
-* ``experiments ...`` — delegate to :mod:`repro.experiments`.
-
-``pack`` / ``unpack`` / ``trace`` / ``metrics`` accept ``--backend
-{sim,mp}``: ``sim`` (default) runs on the deterministic cost simulator
-and reports simulated times; ``mp`` runs one OS process per rank on real
-cores and reports wall times.
+* ``experiments ...`` — delegate to :mod:`repro.experiments`;
+  ``--metrics-out`` (before the experiment names) snapshots the
+  process-wide metrics registry.
 
 Malformed geometry options (``--shape``, ``--grid``, ``--block``,
 ``--procs``) exit with status 2 and a one-line error, never a traceback.
 
-``pack``/``unpack`` also accept ``--trace-out`` / ``--metrics-out`` /
-``--report-out`` to capture observability artifacts from a normal run,
-and ``experiments`` accepts ``--metrics-out`` (before the experiment
-names) to snapshot the process-wide registry.  See
-``docs/observability.md``.
-
 Examples::
 
     python -m repro info
-    python -m repro pack --n 65536 --procs 16 --block 8 --density 0.5
-    python -m repro pack --n 65536 --procs 8 --backend mp
-    python -m repro runtime --backend mp --procs 4
-    python -m repro profile pack --backend mp -p 8 --trace-out pack.mp.trace.json
-    python -m repro pack --shape 512x512 --grid 4x4 --block 4 --scheme sss
-    python -m repro trace --nprocs 4 --n 1024 --block 8 --out pack.trace.json
-    python -m repro metrics --op unpack --n 4096 --procs 8 --out m.json
+    python -m repro run pack --n 65536 --procs 16 --block 8 --density 0.5
+    python -m repro run pack --n 65536 --procs 8 --backend mp
+    python -m repro run pack --backend mp -p 8 --trace-out pack.mp.trace.json
+    python -m repro run unpack --backend supervised -p 4 --n 4096
+    python -m repro run pack --shape 512x512 --grid 4x4 --block 4 --scheme sss
+    python -m repro run ranking --n 1024 -p 4 --block 8 --report-out r.json
+    python -m repro run unpack --n 4096 --procs 8 --metrics-out m.json
     python -m repro chaos --backend mp --procs 4 --seeds 3
     python -m repro conform --cases 200 --seed 4 --corpus tests/conformance/corpus
     python -m repro experiments table1 --full
@@ -148,33 +134,6 @@ def cmd_info(_args) -> int:
     return 0
 
 
-def _make_profiler(args):
-    """A PhaseProfiler when any observability output was requested."""
-    wants = any(
-        getattr(args, name, None)
-        for name in ("trace_out", "metrics_out", "report_out")
-    )
-    if not wants:
-        return None
-    from .obs import PhaseProfiler
-
-    return PhaseProfiler()
-
-
-def _emit_observability(args, profiler) -> None:
-    if profiler is None:
-        return
-    if getattr(args, "trace_out", None):
-        n = profiler.write_chrome_trace(args.trace_out)
-        print(f"[trace: {n} events -> {args.trace_out}]")
-    if getattr(args, "metrics_out", None):
-        profiler.write_metrics(args.metrics_out)
-        print(f"[metrics -> {args.metrics_out}]")
-    if getattr(args, "report_out", None):
-        profiler.report.to_json(args.report_out)
-        print(f"[report -> {args.report_out}]")
-
-
 def _plan_cache_arg(args):
     """``plan_cache=`` argument for the core API from ``--plan-cache``."""
     return True if getattr(args, "plan_cache", "off") == "on" else None
@@ -192,56 +151,108 @@ def _print_plan_info(result) -> None:
     print(line)
 
 
-def cmd_pack(args) -> int:
-    from .core.api import pack
+def _op_scheme(args) -> str:
+    """PACK takes any scheme; UNPACK and the ranking take ``sss``/``css``
+    and run any other ``--scheme`` as ``css``."""
+    if args.op == "pack" or args.scheme in ("sss", "css"):
+        return args.scheme
+    return "css"
 
+
+def _run_op(args, array, mask, **kwargs):
+    """Lower ``args.op`` to its library call.  UNPACK scatters a seeded
+    random vector of the mask's size into ``array``."""
+    from .core.api import pack, ranking, unpack
+
+    scheme = _op_scheme(args)
+    if args.op == "pack":
+        return pack(array, mask, scheme=scheme,
+                    redistribute=getattr(args, "redistribute", None), **kwargs)
+    if args.op == "unpack":
+        vector = np.random.default_rng(args.seed + 1).random(int(mask.sum()))
+        return unpack(vector, mask, array, scheme=scheme, **kwargs)
+    return ranking(mask, scheme=scheme, **kwargs)
+
+
+def _backend(args):
+    """``--backend`` as a context manager.  A supervised gang is closed on
+    exit, so no gang child or ``/dev/shm`` segment outlives the command."""
+    from contextlib import nullcontext
+
+    from .runtime import GangSupervisor, MpBackend, get_backend
+
+    if args.backend == "supervised":
+        return GangSupervisor(timeout=args.timeout, transport=args.transport)
+    if args.backend == "mp":
+        return nullcontext(MpBackend(timeout=args.timeout,
+                                     transport=args.transport))
+    return nullcontext(get_backend(args.backend))
+
+
+def cmd_run(args) -> int:
+    """Run one op under a :class:`~repro.obs.runtime.RuntimeProfiler`,
+    print its report and export the requested artifacts.  Exit 1 if the
+    comm matrix breaks conservation or a supervised gang fell back."""
+    from .obs import MetricsRegistry
+    from .obs.exporters import write_metrics
+    from .obs.runtime import RuntimeProfiler
+
+    if args.redistribute and args.op != "pack":
+        raise CLIError(f"--redistribute applies to pack only, not {args.op}")
     array, mask, grid, block = _workload(args)
-    profiler = _make_profiler(args)
-    result = pack(
-        array, mask, grid=grid, block=block, scheme=args.scheme,
-        spec=_build_spec(args), redistribute=args.redistribute,
-        validate=not args.no_validate, profiler=profiler,
-        backend=args.backend, plan_cache=_plan_cache_arg(args),
-    )
-    print(f"PACK {array.shape} on grid {grid}, block {block}, "
-          f"scheme {args.scheme}: Size = {result.size}")
+    profiler = RuntimeProfiler()
+    metrics = MetricsRegistry() if args.metrics_out else None
+    with _backend(args) as backend:
+        result = _run_op(
+            args, array, mask, grid=grid, block=block, spec=_build_spec(args),
+            validate=not args.no_validate, backend=backend,
+            plan_cache=_plan_cache_arg(args), profile=profiler, metrics=metrics,
+        )
+        stats = backend.stats if args.backend == "supervised" else None
+    profile = profiler.profile
+    print(f"{args.op.upper()} {array.shape} on grid {grid}, block {block}, "
+          f"scheme {_op_scheme(args)}: Size = {result.size}")
     _print_plan_info(result)
-    if args.backend != "sim":
-        print(f"  backend {args.backend}: one OS process per rank, "
-              f"{result.time_domain}-clock times")
     print(f"  total {result.total_ms:9.3f} ms   local {result.local_ms:9.3f} ms")
     print(f"  prs   {result.prs_ms:9.3f} ms   m2m   {result.m2m_ms:9.3f} ms")
+    print(profile.summary())
     if args.phases:
         for name, t in sorted(result.times.items()):
             print(f"    {name:<40s} {t:9.3f} ms")
-    _emit_observability(args, profiler)
-    return 0
+    if profile.dropped_events:
+        print(f"  [{profile.dropped_events} spans dropped from the trace; "
+              f"the phase table is still exact]")
 
+    failures = []
+    try:
+        profile.validate_conservation()
+        print("  comm matrix: conservation OK "
+              "(row sums == sends, column sums == receives)")
+    except ValueError as exc:
+        failures.append(f"comm matrix conservation violated: {exc}")
+    if stats is not None:
+        print(f"  supervisor: gang epoch {stats.gang_epoch}, "
+              f"ops {stats.ops} ({stats.warm_ops} warm / {stats.cold_ops} "
+              f"cold), retries {stats.retries}, rebuilds {stats.rebuilds}, "
+              f"fallbacks {stats.fallbacks}")
+        if stats.fallbacks:
+            failures.append(
+                f"supervisor degraded to the simulator {stats.fallbacks} "
+                f"time(s): the real-process gang is not healthy")
 
-def cmd_unpack(args) -> int:
-    from .core.api import unpack
-
-    array, mask, grid, block = _workload(args)
-    size = int(mask.sum())
-    rng = np.random.default_rng(args.seed + 1)
-    profiler = _make_profiler(args)
-    result = unpack(
-        rng.random(size), mask, array, grid=grid, block=block,
-        scheme=args.scheme if args.scheme in ("sss", "css") else "css",
-        spec=_build_spec(args), validate=not args.no_validate,
-        profiler=profiler, backend=args.backend,
-        plan_cache=_plan_cache_arg(args),
-    )
-    print(f"UNPACK into {array.shape} on grid {grid}, block {block}: "
-          f"Size = {result.size}")
-    _print_plan_info(result)
-    if args.backend != "sim":
-        print(f"  backend {args.backend}: one OS process per rank, "
-              f"{result.time_domain}-clock times")
-    print(f"  total {result.total_ms:9.3f} ms   local {result.local_ms:9.3f} ms")
-    print(f"  prs   {result.prs_ms:9.3f} ms   m2m   {result.m2m_ms:9.3f} ms")
-    _emit_observability(args, profiler)
-    return 0
+    if args.trace_out:
+        n = profile.write_chrome_trace(args.trace_out)
+        print(f"[trace: {n} events -> {args.trace_out}; "
+              f"open in https://ui.perfetto.dev]")
+    if args.metrics_out:
+        write_metrics(args.metrics_out, metrics)
+        print(f"[metrics -> {args.metrics_out}]")
+    if args.report_out:
+        profile.to_json(args.report_out)
+        print(f"[report -> {args.report_out}]")
+    for line in failures:
+        print(f"FAIL: {line}")
+    return 1 if failures else 0
 
 
 def cmd_chaos(args) -> int:
@@ -327,7 +338,6 @@ def cmd_plan(args) -> int:
     demonstrate the hit (compile time drops to zero — the charges are
     replayed from the plan, so the simulated result is bit-identical).
     """
-    from .core.api import pack, ranking, unpack
     from .core.plan_cache import PlanCache
 
     array, mask, grid, block = _workload(args)
@@ -343,23 +353,7 @@ def cmd_plan(args) -> int:
     common = dict(grid=grid, block=block, spec=spec,
                   validate=not args.no_validate, backend=args.backend,
                   plan_cache=cache)
-
-    def run():
-        if args.op == "pack":
-            return pack(array, mask, scheme=args.scheme, **common)
-        if args.op == "unpack":
-            rng = np.random.default_rng(args.seed + 1)
-            return unpack(
-                rng.random(int(mask.sum())), mask, array,
-                scheme=args.scheme if args.scheme in ("sss", "css") else "css",
-                **common,
-            )
-        return ranking(
-            mask, scheme=args.scheme if args.scheme in ("sss", "css") else "css",
-            **common,
-        )
-
-    result = run()
+    result = _run_op(args, array, mask, **common)
     key = cache.keys()[-1]  # LRU order: the key this run used is last
     plan = cache.peek(key)
     print(plan.summary())
@@ -368,7 +362,7 @@ def cmd_plan(args) -> int:
     print(f"  compile: {info.get('compile_ms') or 0.0:.3f} ms wall "
           f"(status {info.get('cache', '?')})")
     if args.repeat:
-        again = run()
+        again = _run_op(args, array, mask, **common)
         info2 = again.plan_info or {}
         line = (f"  repeat: status {info2.get('cache', '?')}, "
                 f"compile {info2.get('compile_ms') or 0.0:.3f} ms")
@@ -539,251 +533,6 @@ def cmd_conform(args) -> int:
     return 1 if failed else 0
 
 
-def _run_observed(args):
-    """Run the selected op under a PhaseProfiler (trace/metrics commands)."""
-    from .core.api import pack, ranking, unpack
-    from .obs import PhaseProfiler
-
-    array, mask, grid, block = _workload(args)
-    spec = _build_spec(args)
-    profiler = PhaseProfiler()
-    plan_cache = _plan_cache_arg(args)
-    op = args.op
-    if op == "pack":
-        result = pack(
-            array, mask, grid=grid, block=block, scheme=args.scheme,
-            spec=spec, validate=not args.no_validate, profiler=profiler,
-            backend=args.backend, plan_cache=plan_cache,
-        )
-    elif op == "unpack":
-        rng = np.random.default_rng(args.seed + 1)
-        result = unpack(
-            rng.random(int(mask.sum())), mask, array, grid=grid, block=block,
-            scheme=args.scheme if args.scheme in ("sss", "css") else "css",
-            spec=spec, validate=not args.no_validate, profiler=profiler,
-            backend=args.backend, plan_cache=plan_cache,
-        )
-    else:
-        result = ranking(
-            mask, grid=grid, block=block, spec=spec,
-            validate=not args.no_validate, profiler=profiler,
-            backend=args.backend, plan_cache=plan_cache,
-        )
-    return profiler, result
-
-
-def cmd_trace(args) -> int:
-    profiler, result = _run_observed(args)
-    n = profiler.write_chrome_trace(args.out)
-    report = profiler.report
-    print(f"{args.op}: ranks={report.nprocs} Size = {result.size}  "
-          f"elapsed {report.elapsed_ms:.3f} ms ({report.time_domain})")
-    print(f"[trace: {n} events, {len(profiler.tracer)} simulator records "
-          f"-> {args.out}]")
-    print("open in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    from .analysis.reporting import format_metrics
-
-    profiler, result = _run_observed(args)
-    snapshot = profiler.metrics.snapshot()
-    print(format_metrics(
-        snapshot, title=f"{args.op}: Size = {result.size}"
-    ))
-    if args.out:
-        profiler.write_metrics(args.out)
-        print(f"[metrics -> {args.out}]")
-    if args.report_out:
-        profiler.report.to_json(args.report_out)
-        print(f"[report -> {args.report_out}]")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """Cross-rank runtime cost attribution: where does the host time go?
-
-    Runs the op under a :class:`~repro.obs.runtime.RuntimeProfiler`,
-    prints the phase-attribution table, validates the communication
-    matrix's conservation invariant (row sums == sends, column sums ==
-    receives — exit 1 on violation), and optionally exports the merged
-    per-rank Chrome trace, the P×P matrix and the full profile JSON.
-    """
-    import json
-
-    from .core.api import pack, ranking, unpack
-    from .obs.runtime import RuntimeProfiler
-    from .runtime import MpBackend, get_backend
-
-    array, mask, grid, block = _workload(args)
-    spec = _build_spec(args)
-    if args.backend == "mp":
-        backend = MpBackend(timeout=args.timeout,
-                            transport=getattr(args, "transport", None))
-    else:
-        backend = get_backend(args.backend)
-    profiler = RuntimeProfiler(ring_capacity=args.ring_capacity)
-    if args.op == "pack":
-        result = pack(
-            array, mask, grid=grid, block=block, scheme=args.scheme,
-            spec=spec, validate=not args.no_validate, profile=profiler,
-            backend=backend,
-        )
-    elif args.op == "unpack":
-        rng = np.random.default_rng(args.seed + 1)
-        result = unpack(
-            rng.random(int(mask.sum())), mask, array, grid=grid, block=block,
-            scheme=args.scheme if args.scheme in ("sss", "css") else "css",
-            spec=spec, validate=not args.no_validate, profile=profiler,
-            backend=backend,
-        )
-    else:
-        result = ranking(
-            mask, grid=grid, block=block, spec=spec,
-            validate=not args.no_validate, profile=profiler, backend=backend,
-        )
-    profile = profiler.profile
-    print(f"{args.op}: Size = {result.size}")
-    print(profile.summary())
-    if profile.dropped_events:
-        print(f"  [ring overflow: {profile.dropped_events} spans dropped "
-              f"from the trace; attribution table is still exact — "
-              f"raise --ring-capacity]")
-    try:
-        profile.validate_conservation()
-        print(f"  comm matrix: conservation OK "
-              f"(row sums == sends, column sums == receives)")
-    except ValueError as exc:
-        print(f"FAIL: comm matrix conservation violated: {exc}")
-        return 1
-    if args.trace_out:
-        n = profile.write_chrome_trace(args.trace_out)
-        print(f"[trace: {n} events ({profile.nprocs} rank lanes + gang lane) "
-              f"-> {args.trace_out}]")
-    if args.matrix_out:
-        with open(args.matrix_out, "w") as fh:
-            json.dump(profile.matrix_dict(), fh, indent=2)
-        print(f"[comm matrix -> {args.matrix_out}]")
-    if args.report_out:
-        profile.to_json(args.report_out)
-        print(f"[profile report -> {args.report_out}]")
-    return 0
-
-
-def cmd_runtime(args) -> int:
-    """Execution-backend smoke test: the SPMD primitive set plus one
-    PACK/UNPACK round against the serial oracle, on the chosen backend."""
-    from .core.api import pack, unpack
-    from .machine.m2m import exchange
-    from .runtime import (
-        MpBackend, allreduce, barrier, exclusive_prefix_sum, get_backend,
-    )
-    from .workloads import make_mask
-
-    # Run mp gangs under a wall-clock budget: a transport regression must
-    # fail the smoke test, not hang it.
-    transport = getattr(args, "transport", None)
-    if args.backend == "mp":
-        backend = MpBackend(timeout=args.timeout, transport=transport)
-    elif args.backend == "supervised":
-        from .runtime import GangSupervisor
-
-        backend = GangSupervisor(timeout=args.timeout, transport=transport)
-    else:
-        backend = get_backend(args.backend)
-    nprocs = args.procs
-    if nprocs < 1:
-        raise CLIError(f"--procs must be >= 1, got {nprocs}")
-    n = 512 if args.quick else args.n
-    via = (f" transport={backend.transport}"
-           if args.backend in ("mp", "supervised") else "")
-    print(f"runtime smoke: backend={backend.name} "
-          f"({backend.time_domain} time),{via} P={nprocs}")
-    failures: list[str] = []
-
-    def program(ctx, payload):
-        ctx.phase("primitives")
-        yield from barrier(ctx)
-        total = yield from allreduce(ctx, ctx.rank + 1)
-        offset = yield from exclusive_prefix_sum(ctx, ctx.rank + 1)
-        ring = ctx.rank
-        if ctx.size > 1:
-            ctx.send((ctx.rank + 1) % ctx.size,
-                     np.array([ctx.rank], dtype=np.int64), tag=7)
-            msg = yield ctx.recv((ctx.rank - 1) % ctx.size, 7)
-            ring = int(np.asarray(msg.payload)[0])
-        outgoing = {q: np.full(q + 1, ctx.rank, dtype=np.int64)
-                    for q in range(ctx.size) if q != ctx.rank}
-        incoming = yield from exchange(ctx, outgoing)
-        return {
-            "total": total,
-            "offset": offset,
-            "ring": ring,
-            "a2a": {int(q): np.asarray(block).copy()
-                    for q, block in incoming.items()},
-            "payload_sum": float(np.asarray(payload).sum()),
-        }
-
-    run = backend.run_spmd(
-        program, nprocs,
-        make_rank_args=lambda r, sh: (np.full(4, float(r)),),
-    )
-    for r, res in enumerate(run.results):
-        if res["total"] != nprocs * (nprocs + 1) // 2:
-            failures.append(f"rank {r}: allreduce -> {res['total']}")
-        if res["offset"] != r * (r + 1) // 2:
-            failures.append(f"rank {r}: exclusive_prefix_sum -> {res['offset']}")
-        if res["ring"] != (r - 1) % nprocs:
-            failures.append(f"rank {r}: ring recv -> {res['ring']}")
-        for q, block in res["a2a"].items():
-            if not np.array_equal(block, np.full(r + 1, q, dtype=np.int64)):
-                failures.append(f"rank {r}: exchange block from {q} wrong")
-        if res["payload_sum"] != 4.0 * r:
-            failures.append(f"rank {r}: scattered payload wrong")
-    print(f"  primitives: barrier/allreduce/xprefix/ring/exchange on "
-          f"{nprocs} rank(s), elapsed {run.elapsed * 1e3:.3f} ms "
-          f"({run.time_domain})")
-
-    rng = np.random.default_rng(args.seed)
-    array = rng.random(n)
-    mask = make_mask((n,), args.density, seed=args.seed)
-    try:
-        packed = pack(array, mask, grid=(nprocs,), scheme="cms",
-                      validate=True, backend=backend)
-        restored = unpack(packed.vector, mask, array, grid=(nprocs,),
-                          scheme="css", validate=True, backend=backend)
-        if not np.array_equal(restored.array, array):
-            failures.append("pack/unpack round trip is not the identity")
-        print(f"  pack   n={n}: Size={packed.size}  "
-              f"total {packed.total_ms:9.3f} ms ({packed.time_domain})")
-        print(f"  unpack n={n}: oracle-exact round trip  "
-              f"total {restored.total_ms:9.3f} ms ({restored.time_domain})")
-    except Exception as exc:  # noqa: BLE001 - report, don't traceback
-        failures.append(f"pack/unpack: {type(exc).__name__}: {exc}")
-
-    if args.backend == "supervised":
-        st = backend.stats
-        print(f"  supervisor: gang epoch {st.gang_epoch}, "
-              f"ops {st.ops} ({st.warm_ops} warm / {st.cold_ops} cold), "
-              f"retries {st.retries}, rebuilds {st.rebuilds}, "
-              f"fallbacks {st.fallbacks}")
-        if st.fallbacks:
-            failures.append(
-                f"supervisor degraded to the simulator {st.fallbacks} "
-                f"time(s): the real-process gang is not healthy")
-        backend.shutdown()  # reap the warm gang: leak checks diff /dev/shm
-
-    if failures:
-        print(f"FAIL: {len(failures)} check(s) failed:")
-        for line in failures:
-            print(f"  {line}")
-        return 1
-    print(f"OK: backend {backend.name} primitives + PACK/UNPACK "
-          f"oracle-correct at P={nprocs}")
-    return 0
-
-
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=16384, help="1-D array size")
     p.add_argument("-p", "--procs", "--nprocs", type=int, default=16,
@@ -811,30 +560,37 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                         "repeat calls with the same geometry and mask")
 
 
-def _add_observability_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace-out", dest="trace_out",
-                   help="write a Chrome-trace JSON of the run")
-    p.add_argument("--metrics-out", dest="metrics_out",
-                   help="write the metrics snapshot (.json or .csv)")
-    p.add_argument("--report-out", dest="report_out",
-                   help="write the structured RunReport JSON")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="library and machine information")
 
-    p_pack = sub.add_parser("pack", help="run one simulated PACK")
-    _add_workload_args(p_pack)
-    _add_observability_args(p_pack)
-    p_pack.add_argument("--redistribute", choices=("selected", "whole"))
-    p_pack.add_argument("--phases", action="store_true", help="print all phases")
-
-    p_unpack = sub.add_parser("unpack", help="run one simulated UNPACK")
-    _add_workload_args(p_unpack)
-    _add_observability_args(p_unpack)
+    p_run = sub.add_parser(
+        "run",
+        help="run one PACK, UNPACK or ranking on any backend and print its "
+             "report (exit 1 on a failed conservation or gang-health check)",
+    )
+    p_run.add_argument("op", choices=("pack", "unpack", "ranking"))
+    _add_workload_args(p_run)
+    p_run.add_argument("--transport", choices=("queue", "ring"),
+                       help="mp/supervised message transport (default: "
+                            "$REPRO_MP_TRANSPORT, then ring)")
+    p_run.add_argument("--timeout", type=float, default=120.0,
+                       help="wall-clock budget of an mp or supervised gang "
+                            "in seconds")
+    p_run.add_argument("--redistribute", choices=("selected", "whole"),
+                       help="pack only: Red.1 (selected) or Red.2 (whole) "
+                            "pre-pass")
+    p_run.add_argument("--phases", action="store_true",
+                       help="print every phase time of the result")
+    p_run.add_argument("--trace-out", dest="trace_out",
+                       help="write the per-rank Chrome-trace JSON")
+    p_run.add_argument("--metrics-out", dest="metrics_out",
+                       help="write the metrics snapshot (.json or .csv)")
+    p_run.add_argument("--report-out", dest="report_out",
+                       help="write the RunProfile JSON (phase table and "
+                            "P×P comm matrix)")
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -860,25 +616,6 @@ def main(argv=None) -> int:
                               "seed: kill,stop,delay,poison")
     p_chaos.add_argument("--timeout", type=float, default=120.0,
                          help="wall-clock budget per supervised op")
-
-    p_trace = sub.add_parser(
-        "trace", help="run a workload and emit a Chrome-trace JSON"
-    )
-    _add_workload_args(p_trace)
-    p_trace.add_argument("--op", default="pack",
-                         choices=("pack", "unpack", "ranking"))
-    p_trace.add_argument("--out", default="repro.trace.json",
-                         help="output trace file (Chrome trace_event JSON)")
-
-    p_metrics = sub.add_parser(
-        "metrics", help="run a workload and print/export the metrics snapshot"
-    )
-    _add_workload_args(p_metrics)
-    p_metrics.add_argument("--op", default="pack",
-                           choices=("pack", "unpack", "ranking"))
-    p_metrics.add_argument("--out", help="write snapshot (.json or .csv)")
-    p_metrics.add_argument("--report-out", dest="report_out",
-                           help="also write the structured RunReport JSON")
 
     p_plan = sub.add_parser(
         "plan",
@@ -1007,55 +744,6 @@ def main(argv=None) -> int:
                                 "hit (exit 1 on zero hits or any oracle "
                                 "failure)")
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="cross-rank runtime cost attribution: phase table, per-rank "
-             "trace lanes and P×P communication matrix on either backend",
-    )
-    p_profile.add_argument("op", nargs="?", default="pack",
-                           choices=("pack", "unpack", "ranking"),
-                           help="operation to profile (default: pack)")
-    _add_workload_args(p_profile)
-    p_profile.add_argument("--timeout", type=float, default=300.0,
-                           help="wall-clock budget per mp gang in seconds")
-    p_profile.add_argument("--transport", default=None,
-                           choices=("queue", "ring"),
-                           help="mp message transport (default: "
-                                "$REPRO_MP_TRANSPORT, then ring)")
-    p_profile.add_argument("--ring-capacity", type=int, default=8192,
-                           dest="ring_capacity",
-                           help="per-rank span ring-buffer capacity (mp)")
-    p_profile.add_argument("--trace-out", dest="trace_out",
-                           help="write the merged per-rank Chrome trace "
-                                "(one lane per rank + a gang lane)")
-    p_profile.add_argument("--matrix-out", dest="matrix_out",
-                           help="write the P×P msgs/bytes matrix JSON")
-    p_profile.add_argument("--report-out", dest="report_out",
-                           help="write the full RunProfile JSON")
-
-    p_runtime = sub.add_parser(
-        "runtime",
-        help="execution-backend smoke test: SPMD primitives plus one "
-             "PACK/UNPACK round against the serial oracle",
-    )
-    p_runtime.add_argument("--backend", default="mp",
-                           choices=("sim", "mp", "supervised"),
-                           help="backend to smoke-test (default: mp)")
-    p_runtime.add_argument("--procs", type=int, default=4,
-                           help="number of ranks (OS processes under mp)")
-    p_runtime.add_argument("--n", type=int, default=4096,
-                           help="1-D array size for the PACK/UNPACK round")
-    p_runtime.add_argument("--density", type=float, default=0.5)
-    p_runtime.add_argument("--seed", type=int, default=0)
-    p_runtime.add_argument("--quick", action="store_true",
-                           help="small workload (n=512) for CI smoke")
-    p_runtime.add_argument("--timeout", type=float, default=120.0,
-                           help="wall-clock budget per mp gang in seconds")
-    p_runtime.add_argument("--transport", default=None,
-                           choices=("queue", "ring"),
-                           help="mp message transport (default: "
-                                "$REPRO_MP_TRANSPORT, then ring)")
-
     p_exp = sub.add_parser("experiments", help="regenerate paper artifacts")
     p_exp.add_argument("--metrics-out", dest="metrics_out",
                        help="snapshot the process-wide metrics registry "
@@ -1067,7 +755,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args, parser)
+        return _dispatch(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1079,49 +767,35 @@ def main(argv=None) -> int:
         return 2
 
 
-def _dispatch(args, parser) -> int:
-    if args.command == "info":
-        return cmd_info(args)
-    if args.command == "pack":
-        return cmd_pack(args)
-    if args.command == "unpack":
-        return cmd_unpack(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "plan":
-        return cmd_plan(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "loadgen":
-        return cmd_loadgen(args)
-    if args.command == "conform":
-        return cmd_conform(args)
-    if args.command == "profile":
-        return cmd_profile(args)
-    if args.command == "runtime":
-        return cmd_runtime(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "metrics":
-        return cmd_metrics(args)
-    if args.command == "experiments":
-        from .experiments.__main__ import main as exp_main
+def cmd_experiments(args) -> int:
+    from .experiments.__main__ import main as exp_main
 
-        if args.metrics_out:
-            from .obs import enable_global_metrics, disable_global_metrics
-            from .obs.exporters import write_metrics
-
-            registry = enable_global_metrics()
-            try:
-                rc = exp_main(args.rest)
-            finally:
-                disable_global_metrics()
-            write_metrics(args.metrics_out, registry)
-            print(f"[metrics -> {args.metrics_out}]")
-            return rc
+    if not args.metrics_out:
         return exp_main(args.rest)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2
+    from .obs import disable_global_metrics, enable_global_metrics
+    from .obs.exporters import write_metrics
+
+    registry = enable_global_metrics()
+    try:
+        rc = exp_main(args.rest)
+    finally:
+        disable_global_metrics()
+    write_metrics(args.metrics_out, registry)
+    print(f"[metrics -> {args.metrics_out}]")
+    return rc
+
+
+def _dispatch(args) -> int:
+    return {
+        "info": cmd_info,
+        "run": cmd_run,
+        "plan": cmd_plan,
+        "chaos": cmd_chaos,
+        "serve": cmd_serve,
+        "loadgen": cmd_loadgen,
+        "conform": cmd_conform,
+        "experiments": cmd_experiments,
+    }[args.command](args)
 
 
 if __name__ == "__main__":

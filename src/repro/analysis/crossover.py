@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core.schemes import Scheme
 from ..hpf.grid import GridLayout
 from ..machine.spec import CM5, MachineSpec

@@ -32,7 +32,7 @@ from ..hpf.grid import GridLayout
 from ..hpf.vector import VectorLayout
 from ..machine.spec import MachineSpec
 from ..serial.reference import mask_ranks
-from .model import predict_pack_local_seconds, workload_quantities
+from .model import predict_pack_local_seconds
 
 __all__ = ["PackPrediction", "predict_pack_seconds", "predict_prs_seconds"]
 

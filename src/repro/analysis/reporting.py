@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "format_metrics", "fmt_ms", "fmt_value"]
+__all__ = ["format_table", "format_series", "fmt_ms", "fmt_value"]
 
 
 def fmt_ms(seconds: float) -> str:
@@ -49,28 +49,6 @@ def format_table(
     for row in cells:
         lines.append("  ".join(c.rjust(widths[j]) for j, c in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_metrics(snapshot: Mapping[str, Mapping[str, Any]],
-                   title: str | None = None) -> str:
-    """Render a :meth:`repro.obs.MetricsRegistry.snapshot` as a table.
-
-    Counters and gauges take one row; histograms show count / mean /
-    min / max (bucket detail stays in the JSON/CSV exports).
-    """
-    rows: list[list[Any]] = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        if entry["type"] in ("counter", "gauge"):
-            rows.append([name, entry["type"], entry["value"], None, None, None])
-        else:
-            rows.append([
-                name, "histogram", entry["count"], entry["mean"],
-                entry["min"], entry["max"],
-            ])
-    return format_table(
-        ["metric", "type", "count/value", "mean", "min", "max"], rows, title=title
-    )
 
 
 def format_series(

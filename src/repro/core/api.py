@@ -357,7 +357,7 @@ def pack(
         — per-rank trace lanes, a P×P communication matrix and a
         phase-attribution table in the backend's own time domain (host
         wall phases like fork/pickle/queue-wait under ``"mp"``).  See
-        ``repro profile`` and docs/runtime.md.
+        ``repro run`` and docs/runtime.md.
     profiler / tracer / metrics:
         optional observability: a :class:`~repro.obs.PhaseProfiler` (its
         report is filled in and the result's :meth:`~_TimedResult.report`

@@ -60,7 +60,7 @@ from .ranking import (
     slice_scan_lengths,
     slice_view,
 )
-from .schemes import PackConfig, Scheme
+from .schemes import PackConfig
 from .storage import extract_selected, selected_from_plan
 
 __all__ = ["PackLocal", "pack_program", "result_vector_layout"]

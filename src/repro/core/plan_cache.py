@@ -9,8 +9,8 @@ key, which is a miss.
 Counters (hits / misses / evictions) are always tracked on the cache and
 additionally mirrored into the process-global metrics registry
 (``plan_cache.hit`` / ``plan_cache.miss`` / ``plan_cache.evict``) when
-one is enabled, so ``repro metrics`` style tooling sees cache behaviour
-without new plumbing.  The cache is lock-protected: the service layer
+one is enabled, so ``repro experiments --metrics-out`` sees cache
+behaviour without new plumbing.  The cache is lock-protected: the service layer
 (ROADMAP) will share one across concurrent requests.
 """
 

@@ -29,7 +29,7 @@ UNPACK supports SSS and CSS (Section 7 measures exactly those two).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Scheme", "PackConfig"]
 

@@ -61,8 +61,8 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = ["ChaosEvent", "ChaosPlan"]
 

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import MessageError
-from .ops import ANY, Barrier, CollectiveOp, Message, Recv
+from .ops import ANY, Barrier, CollectiveOp, Recv
 from .spec import MachineSpec
 from .stats import ProcStats
 

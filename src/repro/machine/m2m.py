@@ -35,7 +35,7 @@ optionally charges a memcpy via ``self_copy_charge``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Mapping
+from typing import Any, Generator, Mapping
 
 from .context import Context, payload_words
 from .ops import CollectiveOp

@@ -19,7 +19,7 @@ Keeping blocking ops explicit makes programs read like message-passing code::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 __all__ = ["ANY", "Message", "Recv", "CollectiveOp", "Barrier"]

@@ -17,7 +17,7 @@ so ``phase_time("pack.ranking")`` aggregates every sub-phase under it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .errors import PhaseError, TimeDomainError

@@ -23,8 +23,8 @@ Example::
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["TraceEvent", "Tracer"]
 

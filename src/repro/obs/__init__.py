@@ -23,8 +23,9 @@ those quantities first-class:
   own time domain (``"simulated"`` vs ``"wall"`` profiles refuse to be
   compared — :class:`~repro.machine.stats.TimeDomainError`).
 
-CLI entry points: ``python -m repro trace``, ``python -m repro metrics``
-and ``python -m repro profile``; see ``docs/observability.md``.
+CLI entry point: ``python -m repro run {pack,unpack,ranking}`` reports
+through :class:`RuntimeProfiler` (``--trace-out`` / ``--metrics-out`` /
+``--report-out``); see ``docs/observability.md``.
 """
 
 from ..hpf.caches import (

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 __all__ = [
     "RUNTIME_PHASES",
@@ -241,7 +241,8 @@ class RunProfile:
 
     # ---------------------------------------------------------- chrome trace
     def to_chrome_trace(self, pid: int = 0) -> list[dict]:
-        """``traceEvents`` with one lane per rank plus a gang lane.
+        """``traceEvents`` with one lane per rank, plus a gang lane when
+        the run recorded gang spans (mp and supervised; never sim).
 
         The gang lane (host-side fork/collect/reap spans) sorts above the
         rank lanes; per-rank compute residuals are emitted as explicit
@@ -253,13 +254,15 @@ class RunProfile:
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
             "args": {"name": f"repro {self.backend} backend "
                              f"({self.time_domain} clock)"},
-        }, {
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": gang_tid,
-            "args": {"name": "gang (host)"},
-        }, {
-            "name": "thread_sort_index", "ph": "M", "pid": pid,
-            "tid": gang_tid, "args": {"sort_index": -1},
         }]
+        if self.gang_spans:
+            events += [{
+                "name": "thread_name", "ph": "M", "pid": pid,
+                "tid": gang_tid, "args": {"name": "gang (host)"},
+            }, {
+                "name": "thread_sort_index", "ph": "M", "pid": pid,
+                "tid": gang_tid, "args": {"sort_index": -1},
+            }]
         for lane in self.lanes:
             events.append({
                 "name": "thread_name", "ph": "M", "pid": pid,
@@ -348,9 +351,11 @@ class RunProfile:
             f"{unit} {self.total_seconds * 1e3:.3f} ms "
             f"(attributed {self.attributed_fraction * 100:.1f}%)",
         ]
-        for name, row in self.phase_table().items():
+        table = self.phase_table()
+        width = max(map(len, table), default=0)
+        for name, row in table.items():
             lines.append(
-                f"  {name:<14s} {row['seconds'] * 1e3:10.3f} ms "
+                f"  {name:<{width}s} {row['seconds'] * 1e3:10.3f} ms "
                 f"{row['fraction'] * 100:6.1f}%"
             )
         total_msgs = sum(map(sum, self.comm_msgs))

@@ -17,9 +17,9 @@ Use with ``yield from`` inside a program::
         got = yield from exchange(ctx, {dest: chunk, ...})
         return total, offset, got
 
-These are also what the ``repro runtime`` smoke command exercises to
-prove a backend's transport end to end before trusting it with a full
-PACK/UNPACK run.
+``tests/runtime/test_primitives.py`` checks each of them on the
+simulator and on the mp backend over both transports, so a backend's
+transport is proven end to end before it carries a full PACK/UNPACK.
 """
 
 from __future__ import annotations

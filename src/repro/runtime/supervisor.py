@@ -9,10 +9,9 @@ transports, shared-memory boxes, profile buffers).
   rides the fork), reaps it as soon as the results are home, and raises
   :class:`~repro.runtime.mp.MpGangError` on the first failure.
 * ``backend="supervised"`` — :class:`GangSupervisor` — keeps the gang
-  alive across ops and recovers from failures.  ``BENCH_profile.json``
-  shows fork/reap/shm lifecycle is about half of the mp slowdown at P=8,
-  and the paper's PACK/UNPACK primitives assume a gang of processors
-  that survives the whole computation.
+  alive across ops and recovers from failures: the paper's PACK/UNPACK
+  primitives assume a gang of processors that survives the whole
+  computation.
 
 What the supervisor does:
 

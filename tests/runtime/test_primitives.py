@@ -1,4 +1,4 @@
-"""The backend-agnostic primitive set, on both backends."""
+"""The backend-agnostic primitive set, on sim and on mp over both transports."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,12 @@ from repro.runtime import (
 SPEC = MachineSpec(tau=10e-6, mu=1e-6, delta=0.1e-6, name="test")
 
 
-@pytest.fixture(params=["sim", "mp"])
+@pytest.fixture(params=["sim", "mp", "mp-queue"])
 def backend(request):
     if request.param == "sim":
         return SimBackend()
+    if request.param == "mp-queue":
+        return MpBackend(timeout=60, transport="queue")
     return MpBackend(timeout=60)
 
 

@@ -204,6 +204,24 @@ class TestSimBitIdentity:
         assert set(profile.phase_seconds)  # algorithm's own phase labels
         validate_chrome_trace(profile.to_chrome_trace())
 
+    def test_sim_trace_has_no_gang_lane(self):
+        # No host gang under sim: one thread_name per rank and nothing else.
+        prof = RuntimeProfiler()
+        SimBackend().run_spmd(_comm_program, NPROCS, spec=SPEC, profile=prof)
+        names = [e["args"]["name"] for e in prof.profile.to_chrome_trace()
+                 if e["ph"] == "M" and e["name"] == "thread_name"]
+        assert names == [f"rank {r}" for r in range(NPROCS)]
+
+    def test_summary_pads_to_the_longest_phase(self):
+        prof = RuntimeProfiler()
+        SimBackend().run_spmd(_comm_program, NPROCS, spec=SPEC, profile=prof)
+        profile = prof.profile
+        profile.phase_seconds["pack.ranking.intermediate.dim0"] = 1e-3
+        rows = [line for line in profile.summary().splitlines()
+                if line.endswith("%") and " ms " in line]
+        assert len(rows) == len(profile.phase_seconds)
+        assert len({line.index(" ms ") for line in rows}) == 1
+
 
 class TestProfilerHandle:
     def test_ring_capacity_validated(self):
