@@ -48,6 +48,7 @@ from .hpf import (
 )
 from .core import (
     PackConfig,
+    PackManyResult,
     PackResult,
     Plan,
     PlanCache,
@@ -96,6 +97,7 @@ __all__ = [
     "MpBackend",
     "MpGangError",
     "PackConfig",
+    "PackManyResult",
     "PackResult",
     "PhaseProfiler",
     "Plan",

@@ -560,7 +560,8 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                         "repeat calls with the same geometry and mask")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -750,10 +751,13 @@ def main(argv=None) -> int:
                             "after the experiments finish (place before "
                             "the experiment names)")
     p_exp.add_argument("rest", nargs=argparse.REMAINDER)
+    return parser
 
+
+def main(argv=None) -> int:
     from .runtime.base import BackendError
 
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except CLIError as exc:

@@ -29,7 +29,7 @@ Layering:
 
 from .api import PackResult, RankingResult, UnpackResult, pack, ranking, unpack
 from .count import count, count_program
-from .multi import pack_many, pack_many_program
+from .multi import PackManyResult, pack_many, pack_many_program
 from .plan import Plan, PlanKey, mask_fingerprint, plan_key
 from .plan_cache import (
     PlanCache,
@@ -45,6 +45,7 @@ from .schemes import PackConfig, Scheme
 __all__ = [
     "LocalRanking",
     "PackConfig",
+    "PackManyResult",
     "PackResult",
     "Plan",
     "PlanCache",

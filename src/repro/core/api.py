@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,78 +225,128 @@ def _resolve_observers(profiler, tracer, metrics):
     return tracer, metrics
 
 
-def _make_config(
-    scheme, prs, m2m_schedule, result_block, early_exit_scan,
-    compress_requests=False,
-) -> PackConfig:
-    return PackConfig(
-        scheme=Scheme.parse(scheme),
-        prs=prs,
-        m2m_schedule=m2m_schedule,
-        result_block=result_block,
-        early_exit_scan=early_exit_scan,
-        compress_requests=compress_requests,
-    )
+def _pad_layout(grid, block, pad: bool, mask: np.ndarray, *arrays):
+    """The layout the ranks run under, with the mask and ``arrays`` it
+    covers.  ``pad`` lifts the paper's ``P*W | N`` divisibility assumption:
+    extents are padded with mask-false cells, which no operation selects
+    (see :mod:`repro.core.padding`)."""
+    if isinstance(grid, int):
+        grid = (grid,)
+    if pad:
+        from .padding import pad_array, pad_mask, padded_shape
+
+        shape, block = padded_shape(mask.shape, grid, block)
+        mask = pad_mask(mask, shape)
+        arrays = [pad_array(a, shape) for a in arrays]
+    return GridLayout.create(mask.shape, grid, block), mask, arrays
 
 
-@dataclass
-class _PlanState:
-    """Per-call plan-cache bookkeeping shared by pack/unpack/ranking.
+def _mask_block(layout: GridLayout, sh, r: int):
+    """Rank ``r``'s mask block, or ``None`` when the mask stayed on the
+    host (a plan hit: the plan already encodes it)."""
+    return layout.local_block(sh["mask"], r, copy=False) if "mask" in sh else None
 
-    ``status`` is ``None`` when no cache was requested, else ``"hit"`` /
-    ``"miss"``.
+
+def _execute(
+    op: str,
+    program,
+    layout: GridLayout,
+    config: PackConfig,
+    mask: np.ndarray,
+    shared: dict,
+    op_args,
+    collect,
+    result_cls,
+    *,
+    spec: MachineSpec,
+    backend,
+    plan_cache,
+    profiler: PhaseProfiler | None = None,
+    profile=None,
+    tracer=None,
+    metrics=None,
+    plan_op: str | None = None,
+    n_result: int | None = None,
+    step_budget: int | None = None,
+    time_budget: float | None = None,
+):
+    """The one host pipeline behind :func:`pack`, :func:`unpack`,
+    :func:`ranking` and :func:`~repro.core.multi.pack_many`.
+
+    The caller hands over the (padded) layout, the config, the mask the
+    plan is keyed on, the global arrays each rank slices (``shared``), an
+    ``op_args(rank, shared)`` function building a rank's leading program
+    arguments, and ``collect(run)``, which gathers and checks the result
+    and returns the ``result_cls`` fields of its own.  This function owns
+    the rest: observers and backend, the plan-cache lookup under key op
+    ``plan_op`` (default ``op``), the one ``run_spmd``, storing a captured
+    plan (only after ``collect`` accepted the run), the ``plan_cache.*`` /
+    ``plan.compile_ms`` metrics, the profiler hooks and ``plan_info``.
+
+    Every rank program takes ``(plan, capture)`` after the ``op_args``.
+    The mask ships only when no plan is replayed; a caller that always
+    needs it (Red.2) puts it in ``shared`` itself.
     """
-
-    cache: object = None
-    key: object = None
-    plan: Plan | None = None
-    capture: bool = False
-    status: str | None = None
-
-
-def _plan_setup(
-    plan_cache, op: str, layout, config, mask,
-    n_result, spec_name: str, time_domain: str,
-) -> _PlanState:
-    """Resolve the cache and probe it for this call's key."""
+    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
+    exec_backend = get_backend(backend)
     cache = resolve_plan_cache(plan_cache)
-    if cache is None:
-        return _PlanState()
-    key = plan_key(
-        op, layout, config, mask,
-        n_result=n_result, spec=spec_name, time_domain=time_domain,
-    )
-    plan = cache.get(key)
-    return _PlanState(
-        cache=cache, key=key, plan=plan,
-        capture=plan is None, status="hit" if plan is not None else "miss",
-    )
-
-
-def _plan_finish(state: _PlanState, run, nprocs: int, metrics, rank_plan_of):
-    """Store a freshly captured plan and build the call's plan-info dict."""
-    if state.status is None:
-        return None
-    if state.capture:
-        plan = Plan(
-            key=state.key,
-            ranks=[rank_plan_of(run.results[r]) for r in range(nprocs)],
+    key = plan = None
+    if cache is not None:
+        key = plan_key(
+            plan_op or op, layout, config, mask, n_result=n_result,
+            spec=spec.name, time_domain=exec_backend.time_domain,
         )
-        state.cache.put(state.key, plan)
-        compile_ms = plan.compile_wall * 1e3
-    else:
-        plan = state.plan
-        compile_ms = 0.0  # the prefix was replayed, not computed
-    info = {
-        "cache": state.status,
-        "compile_ms": compile_ms,
-        "fingerprint": state.key.fingerprint,
-        "plan_bytes": plan.nbytes,
-    }
-    if metrics is not None:
-        metrics.inc(f"plan_cache.{state.status}")
-        metrics.observe("plan.compile_ms", compile_ms)
-    return info
+        plan = cache.get(key)
+    capture = cache is not None and plan is None
+    rank_plans = plan.ranks if plan is not None else None
+    if plan is None:
+        shared["mask"] = mask
+
+    # Shipped to supervised-gang ranks on every op, so it closes over the
+    # op's own arguments, the rank plans and a flag only — never the
+    # cache (it holds a lock) or an observer.
+    def rank_args(r, sh):
+        plan_r = rank_plans[r] if rank_plans is not None else None
+        return op_args(r, sh) + (plan_r, capture)
+
+    run = exec_backend.run_spmd(
+        program,
+        layout.nprocs,
+        make_rank_args=rank_args,
+        shared=shared,
+        spec=spec,
+        tracer=tracer,
+        metrics=metrics,
+        step_budget=step_budget,
+        time_budget=time_budget,
+        profile=profile,
+    )
+    fields = collect(run)
+    plan_info = None
+    if cache is not None:
+        status = "miss" if capture else "hit"
+        compile_ms = 0.0  # on a hit the prefix was replayed, not computed
+        if capture:
+            plan = Plan(key=key, ranks=[res.rank_plan for res in run.results])
+            cache.put(key, plan)
+            compile_ms = plan.compile_wall * 1e3
+        plan_info = {
+            "cache": status,
+            "compile_ms": compile_ms,
+            "fingerprint": key.fingerprint,
+            "plan_bytes": plan.nbytes,
+        }
+        if metrics is not None:
+            metrics.inc(f"plan_cache.{status}")
+            metrics.observe("plan.compile_ms", compile_ms)
+    if profiler is not None:
+        profiler.finish(run, op=op, spec=spec.name, plan=plan_info)
+    if profile is not None and profile.profile is not None:
+        profile.finish(op=op, spec=spec.name)
+    return result_cls(
+        run=run, tracer=tracer, metrics=metrics, _op=op,
+        _spec_name=spec.name, plan_info=plan_info, **fields,
+    )
 
 
 def pack(
@@ -396,21 +446,12 @@ def pack(
     """
     array = np.asarray(array)
     mask = np.asarray(mask, dtype=bool)
-    if isinstance(grid, int):
-        grid = (grid,)
     original_array, original_mask = array, mask
-    if pad:
-        from .padding import pad_array, pad_mask, padded_shape
-
-        new_shape, block = padded_shape(array.shape, grid, block)
-        array = pad_array(array, new_shape)
-        mask = pad_mask(mask, new_shape)
-    layout = GridLayout.create(array.shape, grid, block)
-    config = _make_config(
-        scheme, prs, m2m_schedule, result_block, early_exit_scan,
+    layout, mask, (array,) = _pad_layout(grid, block, pad, mask, array)
+    config = PackConfig(
+        scheme=scheme, prs=prs, m2m_schedule=m2m_schedule,
+        result_block=result_block, early_exit_scan=early_exit_scan,
     )
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
 
     n_result = None
     pad_layout = None
@@ -429,114 +470,65 @@ def pack(
         n_result = int(vector.size)
         pad_layout = result_vector_layout(n_result, layout.nprocs, config)
 
-    if redistribute is None:
-        program = pack_program
-    elif redistribute == "selected":
-        program = pack_red1_program
-    elif redistribute == "whole":
-        program = pack_red2_program
-    else:
+    programs = {None: (pack_program, "pack"),
+                "selected": (pack_red1_program, "pack_red1"),
+                "whole": (pack_red2_program, "pack_red2")}
+    if redistribute not in programs:
         raise ValueError(
             f"redistribute must be None, 'selected' or 'whole', got {redistribute!r}"
         )
-
-    plan_op = {None: "pack", "selected": "pack_red1",
-               "whole": "pack_red2"}[redistribute]
-    plan_state = _plan_setup(
-        plan_cache,
-        op=plan_op, layout=layout, config=config, mask=mask,
-        n_result=n_result, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
-    )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    # Plain local, not plan_state.capture: the rank-args closure is
-    # shipped to supervised-gang workers, and _PlanState drags the whole
-    # PlanCache (and its lock) into the closure cells.
-    capture_plan = plan_state.capture
+    program, plan_op = programs[redistribute]
 
     # Each rank extracts only the blocks it owns from the shared global
     # arrays (views in-process; shared-memory slices under "mp") — the
-    # host never materializes a per-rank copy of anything.  On a plan hit
-    # the mask is not shipped at all: the plan already encodes it.  The
-    # exception is Red.2, whose pre-pass redistributes the mask for real
-    # even on a hit (the traffic is part of the measured algorithm).
-    ship_mask = rank_plans is None or redistribute == "whole"
+    # host never materializes a per-rank copy of anything.  Red.2's
+    # pre-pass redistributes the mask for real even on a plan hit (the
+    # traffic is part of the measured algorithm), so it always ships.
     shared = {"array": array}
-    if ship_mask:
+    if redistribute == "whole":
         shared["mask"] = mask
     if vector is not None:
         shared["pad_vector"] = vector
 
-    def _rank_args(r, sh):
+    def op_args(r, sh):
         pad_block = (
             pad_layout.local_block(sh["pad_vector"], r)
             if pad_layout is not None
             else None
         )
-        base = (
+        args = (
             layout.local_block(sh["array"], r, copy=False),
-            layout.local_block(sh["mask"], r, copy=False)
-            if ship_mask else None,
+            _mask_block(layout, sh, r),
             layout, config, pad_block, n_result,
         )
         # The direct program takes (ranking_result, phase_prefix) before
         # the plan hooks; the redistribution programs go straight to them.
-        if rank_plans is not None:
-            tail = (rank_plans[r], False)
-        elif capture_plan:
-            tail = (None, True)
-        else:
-            return base
-        if redistribute is None:
-            return base + (None, "pack") + tail
-        return base + tail
+        return (args + (None, "pack")) if redistribute is None else args
 
-    run = exec_backend.run_spmd(
-        program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
-    )
-    size = run.results[0].size
-    vec_layout = result_vector_layout(
-        n_result if n_result is not None else size, layout.nprocs, config
-    )
-    vector = vec_layout.gather(
-        [run.results[r].vector_block for r in range(layout.nprocs)],
-        dtype=array.dtype,
-    )
-    if validate:
-        expected = pack_reference(original_array, original_mask, vector)
-        if vector.shape != expected.shape or not np.array_equal(vector, expected):
-            raise AssertionError(
-                f"parallel PACK mismatch vs serial oracle "
-                f"(scheme={config.scheme.value}, layout={layout.describe()})"
-            )
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res.rank_plan
-    )
-    if profiler is not None:
-        profiler.finish(run, op="pack", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="pack", spec=spec.name)
-    return PackResult(
-        run=run,
-        vector=vector,
-        size=size,
-        scheme=config.scheme,
-        layout=layout,
-        total_words=run.total_words,
-        tracer=tracer,
-        metrics=metrics,
-        _op="pack",
-        _spec_name=spec.name,
-        plan_info=plan_info,
+    def collect(run):
+        size = run.results[0].size
+        vec_layout = result_vector_layout(
+            n_result if n_result is not None else size, layout.nprocs, config
+        )
+        packed = vec_layout.gather(
+            [res.vector_block for res in run.results], dtype=array.dtype,
+        )
+        if validate:
+            expected = pack_reference(original_array, original_mask, vector)
+            if packed.shape != expected.shape or not np.array_equal(packed, expected):
+                raise AssertionError(
+                    f"parallel PACK mismatch vs serial oracle "
+                    f"(scheme={config.scheme.value}, layout={layout.describe()})"
+                )
+        return {"vector": packed, "size": size, "scheme": config.scheme,
+                "layout": layout, "total_words": run.total_words}
+
+    return _execute(
+        "pack", program, layout, config, mask, shared, op_args, collect,
+        PackResult, spec=spec, backend=backend, plan_cache=plan_cache,
+        profiler=profiler, profile=profile, tracer=tracer, metrics=metrics,
+        plan_op=plan_op, n_result=n_result,
+        step_budget=step_budget, time_budget=time_budget,
     )
 
 
@@ -588,120 +580,77 @@ def unpack(
         )
     if field_array.ndim == 0:
         field_array = np.full(mask.shape, field_array[()])
-    if isinstance(grid, int):
-        grid = (grid,)
-    original_shape = mask.shape
     original_mask, original_field = mask, field_array
-    if pad:
-        from .padding import pad_array, pad_mask, padded_shape
-
-        new_shape, block = padded_shape(mask.shape, grid, block)
-        mask = pad_mask(mask, new_shape)
-        field_array = pad_array(field_array, new_shape)
-    layout = GridLayout.create(mask.shape, grid, block)
-    config = _make_config(
-        scheme, prs, m2m_schedule, result_block, early_exit_scan,
+    layout, mask, (field_array,) = _pad_layout(
+        grid, block, pad, mask, field_array
+    )
+    config = PackConfig(
+        scheme=scheme, prs=prs, m2m_schedule=m2m_schedule,
+        result_block=result_block, early_exit_scan=early_exit_scan,
         compress_requests=compress_requests,
     )
 
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
     vec_layout = input_vector_layout(int(vector.size), layout.nprocs, config)
     n_vector = int(vector.size)
 
-    plan_state = _plan_setup(
-        plan_cache,
-        op="unpack", layout=layout, config=config, mask=mask,
-        n_result=n_vector, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
-    )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    capture_plan = plan_state.capture  # plain local: closure must pickle
+    def op_args(r, sh):
+        return (
+            vec_layout.local_block(sh["vector"], r, copy=False),
+            _mask_block(layout, sh, r),
+            layout.local_block(sh["field"], r, copy=False),
+            layout, n_vector, config, "unpack",
+        )
+
+    def collect(run):
+        array = layout.gather([res.array_block for res in run.results])
+        if pad:
+            from .padding import crop
+
+            array = crop(array, original_mask.shape)
+        if validate:
+            expected = unpack_reference(vector, original_mask, original_field)
+            if not np.array_equal(array, expected):
+                raise AssertionError(
+                    f"parallel UNPACK mismatch vs serial oracle "
+                    f"(scheme={config.scheme.value}, layout={layout.describe()})"
+                )
+        return {"array": array, "size": run.results[0].size,
+                "scheme": config.scheme, "layout": layout}
 
     # Each rank slices only its own blocks from the shared global arrays
-    # (views in-process, shared-memory slices under "mp").  On a plan hit
-    # the mask stays on the host: the plan already encodes it.
-    shared = {"vector": vector, "field": field_array}
-    if rank_plans is None:
-        shared["mask"] = mask
-
-    def _rank_args(r, sh):
-        base = (
-            vec_layout.local_block(sh["vector"], r, copy=False),
-            layout.local_block(sh["mask"], r, copy=False)
-            if rank_plans is None else None,
-            layout.local_block(sh["field"], r, copy=False),
-            layout,
-            n_vector,
-            config,
-        )
-        if rank_plans is not None:
-            return base + ("unpack", rank_plans[r], False)
-        if capture_plan:
-            return base + ("unpack", None, True)
-        return base
-
-    run = exec_backend.run_spmd(
-        unpack_program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
+    # (views in-process, shared-memory slices under "mp").
+    return _execute(
+        "unpack", unpack_program, layout, config, mask,
+        {"vector": vector, "field": field_array}, op_args, collect,
+        UnpackResult, spec=spec, backend=backend, plan_cache=plan_cache,
+        profiler=profiler, profile=profile, tracer=tracer, metrics=metrics,
+        n_result=n_vector, step_budget=step_budget, time_budget=time_budget,
     )
-    array = layout.gather([run.results[r].array_block for r in range(layout.nprocs)])
-    if pad:
-        from .padding import crop
 
-        array = crop(array, original_shape)
-    if validate:
-        expected = unpack_reference(vector, original_mask, original_field)
-        if not np.array_equal(array, expected):
-            raise AssertionError(
-                f"parallel UNPACK mismatch vs serial oracle "
-                f"(scheme={config.scheme.value}, layout={layout.describe()})"
-            )
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res.rank_plan
-    )
-    if profiler is not None:
-        profiler.finish(run, op="unpack", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="unpack", spec=spec.name)
-    return UnpackResult(
-        run=run,
-        array=array,
-        size=run.results[0].size,
-        scheme=config.scheme,
-        layout=layout,
-        tracer=tracer,
-        metrics=metrics,
-        _op="unpack",
-        _spec_name=spec.name,
-        plan_info=plan_info,
-    )
+
+class _RankingLocal(NamedTuple):
+    """Per-rank outcome of :func:`_ranking_host_program`."""
+
+    ranks: np.ndarray
+    size: int
+    rank_plan: RankingRankPlan | None
 
 
 def _ranking_host_program(
-    ctx, block_mask, layout, scheme, prs, plan=None, capture=False
+    ctx, block_mask, layout, config, plan=None, capture=False
 ):
     """Per-rank program behind the host-level :func:`ranking`.
 
-    Returns ``(masked element ranks, Size, captured rank plan or None)``.
     The ranking result is *entirely* mask-derived, so a plan execution is
     pure replay: restore the recorded charges, hand back the stored array.
     """
     if plan is not None:
         replay_charges(ctx, plan.charges, "ranking")
-        return (plan.ranks_local, plan.size, None)
+        return _RankingLocal(plan.ranks_local, plan.size, None)
     recorder = ChargeRecorder(ctx) if capture else None
     t_compile = perf_counter() if capture else 0.0
     result = yield from ranking_program(
-        ctx, block_mask, layout, scheme=scheme, prs=prs
+        ctx, block_mask, layout, scheme=config.scheme, prs=config.prs
     )
     ranks_local = result.masked_element_ranks(block_mask, layout.local_shape)
     rank_plan = None
@@ -714,7 +663,7 @@ def _ranking_host_program(
             ),
             compile_wall=perf_counter() - t_compile,
         )
-    return (ranks_local, result.size, rank_plan)
+    return _RankingLocal(ranks_local, result.size, rank_plan)
 
 
 def ranking(
@@ -740,80 +689,35 @@ def ranking(
     ``pad`` lifts the ``P*W | N`` divisibility assumption exactly as in
     :func:`pack`: padding cells are mask-false, contribute nothing to the
     prefix sums, and are cropped away before the ranks are returned."""
-    mask = np.asarray(mask, dtype=bool)
-    if isinstance(grid, int):
-        grid = (grid,)
-    original_mask = mask
-    original_shape = mask.shape
-    if pad:
-        from .padding import pad_mask, padded_shape
+    original_mask = np.asarray(mask, dtype=bool)
+    layout, mask, _ = _pad_layout(grid, block, pad, original_mask)
+    # Ranking has no PackConfig of its own; it uses the knobs that exist
+    # (scheme, prs) with the remaining fields at their defaults.
+    config = PackConfig(scheme=scheme, prs=prs)
 
-        new_shape, block = padded_shape(mask.shape, grid, block)
-        mask = pad_mask(mask, new_shape)
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
-    layout = GridLayout.create(mask.shape, grid, block)
-    config_scheme = Scheme.parse(scheme)
+    def op_args(r, sh):
+        return (_mask_block(layout, sh, r), layout, config)
 
-    plan_state = _plan_setup(
-        plan_cache,
-        op="ranking", layout=layout,
-        # Ranking has no PackConfig; key it under the knobs that exist
-        # (scheme, prs) with the remaining fields at their defaults.
-        config=_make_config(scheme, prs, "linear", None, True),
-        mask=mask, n_result=None, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
-    )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    capture_plan = plan_state.capture  # plain local: closure must pickle
-    shared = {} if rank_plans is not None else {"mask": mask}
+    def collect(run):
+        ranks = layout.gather([res.ranks for res in run.results])
+        size = run.results[0].size
+        if pad:
+            from .padding import crop
 
-    def _rank_args(r, sh):
-        block_mask = (
-            layout.local_block(sh["mask"], r, copy=False)
-            if rank_plans is None else None
-        )
-        base = (block_mask, layout, config_scheme, prs)
-        if rank_plans is not None:
-            return base + (rank_plans[r], False)
-        if capture_plan:
-            return base + (None, True)
-        return base
+            ranks = crop(ranks, original_mask.shape)
+        if validate:
+            expected = mask_ranks(original_mask)
+            if not np.array_equal(ranks, expected):
+                raise AssertionError("parallel ranking mismatch vs serial oracle")
+            if size != int(np.count_nonzero(original_mask)):
+                raise AssertionError(
+                    f"Size {size} != oracle {np.count_nonzero(original_mask)}")
+        return {"ranks": ranks, "size": size, "layout": layout}
 
-    run = exec_backend.run_spmd(
-        _ranking_host_program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
-    )
-    ranks = layout.gather([run.results[r][0] for r in range(layout.nprocs)])
-    size = run.results[0][1]
-    if pad:
-        from .padding import crop
-
-        ranks = crop(ranks, original_shape)
-    if validate:
-        expected = mask_ranks(original_mask)
-        if not np.array_equal(ranks, expected):
-            raise AssertionError("parallel ranking mismatch vs serial oracle")
-        if size != int(np.count_nonzero(original_mask)):
-            raise AssertionError(
-                f"Size {size} != oracle {np.count_nonzero(original_mask)}")
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res[2]
-    )
-    if profiler is not None:
-        profiler.finish(run, op="ranking", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="ranking", spec=spec.name)
-    return RankingResult(
-        run=run, ranks=ranks, size=size, layout=layout,
-        tracer=tracer, metrics=metrics, _op="ranking", _spec_name=spec.name,
-        plan_info=plan_info,
+    return _execute(
+        "ranking", _ranking_host_program, layout, config, mask, {}, op_args,
+        collect, RankingResult, spec=spec, backend=backend,
+        plan_cache=plan_cache, profiler=profiler, profile=profile,
+        tracer=tracer, metrics=metrics,
+        step_budget=step_budget, time_budget=time_budget,
     )

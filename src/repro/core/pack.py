@@ -61,7 +61,7 @@ from .ranking import (
     slice_view,
 )
 from .schemes import PackConfig
-from .storage import extract_selected, selected_from_plan
+from .storage import SelectedElements, extract_selected, selected_from_plan
 
 __all__ = ["PackLocal", "pack_program", "result_vector_layout"]
 
@@ -124,6 +124,160 @@ def _check_vector_geometry(
         )
 
 
+def _check_block(rank: int, what: str, block: np.ndarray, grid: GridLayout) -> None:
+    if block.shape != grid.local_shape:
+        raise ValueError(
+            f"rank {rank}: {what} block shape {block.shape} != {grid.local_shape}"
+        )
+
+
+def pack_prefix(
+    ctx: Context,
+    local_array: np.ndarray,
+    local_mask: np.ndarray | None,
+    grid: GridLayout,
+    config: PackConfig,
+    costs: StepCosts,
+    phase_prefix: str,
+    plan: PackRankPlan | None = None,
+    capture: bool = False,
+    n_result: int | None = None,
+    pad_block: np.ndarray | None = None,
+    ranking_result: LocalRanking | None = None,
+) -> Generator[Any, Any, tuple]:
+    """PACK's mask-dependent compile prefix on one rank (shared with the
+    gang PACK of :mod:`repro.core.multi`).
+
+    With ``plan`` it replays the recorded ranking/sendl/rescan charges
+    under ``phase_prefix`` and rebinds the plan to ``local_array``;
+    otherwise it runs ranking (unless ``ranking_result`` is given), the
+    per-scheme rank/destination derivation and the CSS/CMS second scan,
+    recording them into a :class:`~repro.core.plan.PackRankPlan` when
+    ``capture`` is set.  Returns ``(selected elements, Size, result
+    layout, captured plan or None)``.
+    """
+    scheme = config.scheme
+    if plan is not None:
+        size = plan.size
+        _check_vector_geometry(ctx.rank, size, n_result, pad_block)
+        replay_charges(ctx, plan.charges, phase_prefix)
+        vec = result_vector_layout(
+            n_result if n_result is not None else size, ctx.size, config
+        )
+        return selected_from_plan(plan, local_array), size, vec, None
+
+    local_mask = np.asarray(local_mask, dtype=bool)
+    _check_block(ctx.rank, "mask", local_mask, grid)
+    recorder = ChargeRecorder(ctx) if capture else None
+    t_compile = perf_counter() if capture else 0.0
+
+    # ---------------------------------------------- stage 1: ranking
+    if ranking_result is None:
+        ranking_result = yield from ranking_program(
+            ctx,
+            local_mask,
+            grid,
+            scheme=scheme,
+            prs=config.prs,
+            phase_prefix=f"{phase_prefix}.ranking",
+        )
+    size = ranking_result.size
+    if n_result is not None and n_result < size:
+        raise ValueError(
+            f"PACK's VECTOR has {n_result} elements but the mask selects {size}"
+        )
+    _check_vector_geometry(ctx.rank, size, n_result, pad_block)
+    vec = result_vector_layout(n_result if n_result is not None else size,
+                               ctx.size, config)
+
+    # ------------------------------ stage 2a: ranks and destinations
+    ctx.phase(f"{phase_prefix}.sendl")
+    sel = extract_selected(local_array, local_mask, ranking_result, grid, vec)
+    ctx.work(
+        costs.final_rank_elements(
+            C=ranking_result.c, E_i=sel.count, Gs_i=sel.segment_count
+        )
+    )
+
+    # ----------------------------- stage 2b: second scan (CSS/CMS)
+    if not scheme.stores_records:
+        ctx.phase(f"{phase_prefix}.rescan")
+        view = slice_view(local_mask, grid)
+        scan2 = int(slice_scan_lengths(view, config.early_exit_scan).sum())
+        ctx.work(costs.second_scan(ranking_result.c, scan2))
+
+    captured = None
+    if capture:
+        phase_names = ranking_phase_names(grid.d, f"{phase_prefix}.ranking")
+        phase_names.append(f"{phase_prefix}.sendl")
+        if not scheme.stores_records:
+            phase_names.append(f"{phase_prefix}.rescan")
+        captured = PackRankPlan(
+            positions=sel.positions,
+            ranks=sel.ranks,
+            dests=sel.dests,
+            slice_ids=sel.slice_ids,
+            size=size,
+            charges=recorder.finish(ctx, phase_names, phase_prefix),
+            compile_wall=perf_counter() - t_compile,
+        )
+    return sel, size, vec, captured
+
+
+def pack_move(
+    ctx: Context,
+    sel: SelectedElements,
+    vec: VectorLayout,
+    config: PackConfig,
+    costs: StepCosts,
+    dtype,
+    phase_prefix: str,
+    suffix: str = "",
+    tag: int | None = None,
+) -> Generator[Any, Any, tuple]:
+    """Compose, exchange and place one array's selected elements (shared
+    with the gang PACK, which labels each array's phases with ``suffix``
+    and exchanges on its own ``tag``).  Returns ``(vector block, e_a, gr,
+    words_out)``."""
+    scheme = config.scheme
+    # -------------------------------------------- stage 2c: message composition
+    ctx.phase(f"{phase_prefix}.compose{suffix}")
+    if scheme.uses_segments:
+        outgoing = compose_segment_messages(sel)
+    else:
+        outgoing = compose_pair_messages(sel)
+    words = {dest: msg.words for dest, msg in outgoing.items()}
+    ctx.work(costs.compose(
+        sel.count, sel.segment_count if scheme.uses_segments else 0
+    ))
+
+    # --------------------------------- stage 2d: many-to-many communication
+    ctx.phase(f"{phase_prefix}.comm{suffix}")
+    received = yield from exchange(
+        ctx,
+        outgoing,
+        words=words,
+        schedule=config.m2m_schedule,
+        self_copy_charge=config.charge_self_copy,
+        **({} if tag is None else {"tag": tag}),
+    )
+
+    # ----------------------------------------- stage 2e: placement into V
+    ctx.phase(f"{phase_prefix}.decompose{suffix}")
+    block = np.empty(vec.local_size(ctx.rank), dtype=dtype)
+    e_a = 0
+    gr = 0
+    for source in sorted(received):
+        msg = received[source]
+        if scheme.uses_segments:
+            e_a += place_segment_message(block, msg, vec)
+            gr += msg.segments
+        else:
+            e_a += place_pair_message(block, msg, vec)
+    ctx.work(costs.decompose(e_a, gr))
+    return block, e_a, gr, sum(words.values())
+
+
 def pack_program(
     ctx: Context,
     local_array: np.ndarray,
@@ -157,120 +311,20 @@ def pack_program(
     if plan is not None and capture:
         raise ValueError("pack_program: plan= and capture= are mutually exclusive")
     local_array = np.asarray(local_array)
-    if local_array.shape != grid.local_shape:
-        raise ValueError(
-            f"rank {ctx.rank}: array block shape {local_array.shape} != "
-            f"{grid.local_shape}"
-        )
+    _check_block(ctx.rank, "array", local_array, grid)
     scheme = config.scheme
     costs = StepCosts(local=ctx.spec.local, scheme=scheme, d=grid.d)
 
-    if plan is not None:
-        # ------------------------- execute a compiled plan: replay the
-        # mask-dependent prefix (ranking/sendl/rescan), rebind the data.
-        size = plan.size
-        _check_vector_geometry(ctx.rank, size, n_result, pad_block)
-        replay_charges(ctx, plan.charges, phase_prefix)
-        vec = result_vector_layout(
-            n_result if n_result is not None else size, ctx.size, config
-        )
-        sel = selected_from_plan(plan, local_array)
-        e_i = sel.count
-        gs = sel.segment_count if scheme.uses_segments else 0
-    else:
-        local_mask = np.asarray(local_mask, dtype=bool)
-        if local_mask.shape != grid.local_shape:
-            raise ValueError(
-                f"rank {ctx.rank}: mask block shape {local_mask.shape} != "
-                f"{grid.local_shape}"
-            )
-        recorder = ChargeRecorder(ctx) if capture else None
-        t_compile = perf_counter() if capture else 0.0
-
-        # ---------------------------------------------- stage 1: ranking
-        if ranking_result is None:
-            ranking_result = yield from ranking_program(
-                ctx,
-                local_mask,
-                grid,
-                scheme=scheme,
-                prs=config.prs,
-                phase_prefix=f"{phase_prefix}.ranking",
-            )
-        size = ranking_result.size
-        if n_result is not None and n_result < size:
-            raise ValueError(
-                f"PACK's VECTOR has {n_result} elements but the mask selects {size}"
-            )
-        _check_vector_geometry(ctx.rank, size, n_result, pad_block)
-        vec = result_vector_layout(n_result if n_result is not None else size,
-                                   ctx.size, config)
-
-        # ------------------------------ stage 2a: ranks and destinations
-        ctx.phase(f"{phase_prefix}.sendl")
-        sel = extract_selected(local_array, local_mask, ranking_result, grid, vec)
-        e_i = sel.count
-        gs = sel.segment_count if scheme.uses_segments else 0
-        ctx.work(
-            costs.final_rank_elements(
-                C=ranking_result.c, E_i=e_i, Gs_i=sel.segment_count
-            )
-        )
-
-        # ----------------------------- stage 2b: second scan (CSS/CMS)
-        if not scheme.stores_records:
-            ctx.phase(f"{phase_prefix}.rescan")
-            view = slice_view(local_mask, grid)
-            scan2 = int(slice_scan_lengths(view, config.early_exit_scan).sum())
-            ctx.work(costs.second_scan(ranking_result.c, scan2))
-
-        if capture:
-            phase_names = ranking_phase_names(grid.d, f"{phase_prefix}.ranking")
-            phase_names.append(f"{phase_prefix}.sendl")
-            if not scheme.stores_records:
-                phase_names.append(f"{phase_prefix}.rescan")
-            captured = PackRankPlan(
-                positions=sel.positions,
-                ranks=sel.ranks,
-                dests=sel.dests,
-                slice_ids=sel.slice_ids,
-                size=size,
-                charges=recorder.finish(ctx, phase_names, phase_prefix),
-                compile_wall=perf_counter() - t_compile,
-            )
-
-    # -------------------------------------------- stage 2c: message composition
-    ctx.phase(f"{phase_prefix}.compose")
-    if scheme.uses_segments:
-        outgoing = compose_segment_messages(sel)
-    else:
-        outgoing = compose_pair_messages(sel)
-    words = {dest: msg.words for dest, msg in outgoing.items()}
-    ctx.work(costs.compose(e_i, gs))
-
-    # --------------------------------- stage 2d: many-to-many communication
-    ctx.phase(f"{phase_prefix}.comm")
-    received = yield from exchange(
-        ctx,
-        outgoing,
-        words=words,
-        schedule=config.m2m_schedule,
-        self_copy_charge=config.charge_self_copy,
+    sel, size, vec, captured = yield from pack_prefix(
+        ctx, local_array, local_mask, grid, config, costs, phase_prefix,
+        plan=plan, capture=capture, n_result=n_result, pad_block=pad_block,
+        ranking_result=ranking_result,
     )
-
-    # ----------------------------------------- stage 2e: placement into V
-    ctx.phase(f"{phase_prefix}.decompose")
-    block = np.empty(vec.local_size(ctx.rank), dtype=local_array.dtype)
-    e_a = 0
-    gr = 0
-    for source in sorted(received):
-        msg = received[source]
-        if scheme.uses_segments:
-            e_a += place_segment_message(block, msg, vec)
-            gr += msg.segments
-        else:
-            e_a += place_pair_message(block, msg, vec)
-    ctx.work(costs.decompose(e_a, gr))
+    e_i = sel.count
+    gs = sel.segment_count if scheme.uses_segments else 0
+    block, e_a, gr, words_out = yield from pack_move(
+        ctx, sel, vec, config, costs, local_array.dtype, phase_prefix
+    )
 
     if ctx.metrics is not None:
         # Per-rank redistribution quantities of Section 6: elements sent /
@@ -278,7 +332,7 @@ def pack_program(
         ctx.count("pack.calls")
         ctx.observe("pack.elements_out", e_i)
         ctx.observe("pack.elements_in", e_a)
-        ctx.observe("pack.words_out", sum(words.values()))
+        ctx.observe("pack.words_out", words_out)
         if scheme.uses_segments:
             ctx.observe("pack.segments_out", gs)
 
@@ -310,6 +364,6 @@ def pack_program(
         e_a=e_a,
         gs=gs,
         gr=gr,
-        words_out=sum(words.values()),
-        rank_plan=captured if capture else None,
+        words_out=words_out,
+        rank_plan=captured,
     )

@@ -167,21 +167,30 @@ class PlanCache:
     def load_into(self, path: str | os.PathLike) -> int:
         """Merge the plans persisted at ``path`` into this cache; returns
         how many were inserted.  Normal LRU bounds apply, so loading more
-        plans than ``capacity`` keeps only the most recent tail."""
+        plans than ``capacity`` keeps only the most recent tail.
+
+        Every entry is parsed and checked before any is inserted, so a
+        file that fails to load (``ValueError``, ``KeyError`` or
+        ``TypeError``) leaves the cache as it was."""
         with open(os.fspath(path)) as f:
             doc = json.load(f)
-        schema = doc.get("schema")
+        schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != self.SCHEMA:
             raise ValueError(
                 f"plan cache file {path!r}: unsupported schema {schema!r} "
                 f"(expected {self.SCHEMA})"
             )
-        count = 0
-        for entry in doc["plans"]:
-            plan = Plan.from_dict(entry)
+        plans = [Plan.from_dict(entry) for entry in doc["plans"]]
+        for plan in plans:
+            if plan.nprocs != plan.key.nprocs:
+                raise ValueError(
+                    f"plan cache file {path!r}: plan {plan.key.describe()} "
+                    f"has {plan.nprocs} rank entries, expected "
+                    f"{plan.key.nprocs}"
+                )
+        for plan in plans:
             self.put(plan.key, plan)
-            count += 1
-        return count
+        return len(plans)
 
     @classmethod
     def load(

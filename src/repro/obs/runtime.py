@@ -65,6 +65,13 @@ RUNTIME_PHASES = (
     "reap",        # result skew + joins + teardown + merge (parent)
 )
 
+#: Transport -> the phases only the *other* message transport produces,
+#: which a profile of this one never fills and does not list.
+_FOREIGN_PHASES = {
+    "ring": ("pickle", "queue_send", "queue_wait"),
+    "queue": ("encode", "ring_send", "ring_wait"),
+}
+
 
 @dataclass
 class RankLane:
@@ -160,11 +167,13 @@ class RunProfile:
     # ----------------------------------------------------------- attribution
     def phase_table(self) -> dict[str, dict[str, float]]:
         """Per-phase seconds and fraction of ``total_seconds``, sorted by
-        descending share."""
+        descending share.  A wall profile lists only the transport phases
+        of the transport it ran on."""
         total = self.total_seconds or 1.0
+        foreign = _FOREIGN_PHASES.get(self.transport, ())
         rows = {
             name: {"seconds": s, "fraction": s / total}
-            for name, s in self.phase_seconds.items()
+            for name, s in self.phase_seconds.items() if name not in foreign
         }
         return dict(sorted(rows.items(), key=lambda kv: -kv[1]["seconds"]))
 

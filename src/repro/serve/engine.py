@@ -22,10 +22,7 @@ from typing import Sequence
 
 from ..core.api import pack, ranking, unpack
 from ..core.multi import pack_many
-from ..core.plan import plan_key
 from ..core.plan_cache import PlanCache
-from ..core.schemes import PackConfig
-from ..hpf.grid import GridLayout
 from ..machine.spec import CM5
 from ..runtime.base import get_backend
 from .protocol import Request, encode_result, error_body
@@ -95,8 +92,7 @@ class ExecutionEngine:
     def _gang_pack(self, reqs: Sequence[Request]) -> list[dict]:
         r0 = reqs[0]
         try:
-            plan = self._pack_plan_label(r0)
-            vectors, _run = pack_many(
+            res = pack_many(
                 [r.array for r in reqs],
                 r0.mask,
                 r0.grid,
@@ -117,9 +113,9 @@ class ExecutionEngine:
                 "op": "pack",
                 "result": encode_result(v),
                 "size": int(v.size),
-                "plan": plan,
+                "plan": res.plan_info["cache"],
             }
-            for r, v in zip(reqs, vectors)
+            for r, v in zip(reqs, res.vectors)
         ]
 
     # Identical ranking requests: rank once, fan the result out.
@@ -166,15 +162,3 @@ class ExecutionEngine:
             "size": int(res.size),
             "plan": (res.plan_info or {}).get("cache"),
         }
-
-    def _pack_plan_label(self, r0: Request) -> str:
-        """hit/miss label for a coalesced gang, probed before the run with
-        exactly the key :func:`~repro.core.multi.pack_many` will use."""
-        layout = GridLayout.create(r0.mask.shape, r0.grid, r0.block)
-        config = PackConfig(scheme=r0.scheme)
-        key = plan_key(
-            "pack", layout, config, r0.mask,
-            n_result=None, spec=self.spec.name,
-            time_domain=self.backend.time_domain,
-        )
-        return "hit" if key in self.plan_cache else "miss"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -105,6 +106,13 @@ class PackUnpackServer:
                 self.metrics.set("serve.plans_loaded", n)
             except FileNotFoundError:
                 pass  # first run; the drain will create it
+            except (ValueError, KeyError, TypeError) as exc:
+                # A truncated, corrupt or schema-skewed file: serve from a
+                # cold cache (the drain overwrites the file) rather than
+                # refuse to start.
+                print(f"warning: ignoring plan cache file "
+                      f"{cfg.plan_cache_file}: {exc}; starting cold",
+                      file=sys.stderr)
         self._server = await asyncio.start_server(
             self._on_connection, cfg.host, cfg.port, limit=MAX_LINE
         )

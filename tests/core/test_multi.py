@@ -19,8 +19,8 @@ class TestGangCorrectness:
         rng = np.random.default_rng(0)
         arrays = [rng.random(128) for _ in range(3)]
         m = rng.random(128) < 0.5
-        vectors, _run = pack_many(arrays, m, grid=4, block=4, scheme=scheme,
-                                  spec=SPEC)
+        vectors = pack_many(arrays, m, grid=4, block=4, scheme=scheme,
+                            spec=SPEC).vectors
         for a, v in zip(arrays, vectors):
             np.testing.assert_array_equal(v, pack_reference(a, m))
 
@@ -28,7 +28,7 @@ class TestGangCorrectness:
         rng = np.random.default_rng(1)
         arrays = [rng.random((16, 16)) for _ in range(2)]
         m = rng.random((16, 16)) < 0.3
-        vectors, _ = pack_many(arrays, m, grid=(2, 2), block=(2, 2), spec=SPEC)
+        vectors = pack_many(arrays, m, grid=(2, 2), block=(2, 2), spec=SPEC).vectors
         for a, v in zip(arrays, vectors):
             np.testing.assert_array_equal(v, pack_reference(a, m))
 
@@ -36,7 +36,7 @@ class TestGangCorrectness:
         rng = np.random.default_rng(2)
         arrays = [rng.random(64), (rng.random(64) * 100).astype(np.int64)]
         m = rng.random(64) < 0.5
-        vectors, _ = pack_many(arrays, m, grid=4, block=2, spec=SPEC)
+        vectors = pack_many(arrays, m, grid=4, block=2, spec=SPEC).vectors
         assert vectors[0].dtype == np.float64
         assert vectors[1].dtype == np.int64
 
@@ -48,7 +48,7 @@ class TestGangCorrectness:
         rng = np.random.default_rng(3)
         a = rng.random(64)
         m = rng.random(64) < 0.7
-        vectors, _ = pack_many([a], m, grid=4, block=2, spec=SPEC)
+        vectors = pack_many([a], m, grid=4, block=2, spec=SPEC).vectors
         np.testing.assert_array_equal(vectors[0], pack_reference(a, m))
 
 
@@ -61,8 +61,8 @@ class TestAmortization:
         arrays = [rng.random(2048) for _ in range(k)]
         m = rng.random(2048) < 0.5
 
-        _vectors, gang_run = pack_many(arrays, m, grid=16, block=4,
-                                       scheme="css", spec=SPEC)
+        gang_run = pack_many(arrays, m, grid=16, block=4,
+                             scheme="css", spec=SPEC).run
         solo_total = sum(
             repro.pack(a, m, grid=16, block=4, scheme="css", spec=SPEC).run.elapsed
             for a in arrays
@@ -73,7 +73,7 @@ class TestAmortization:
         rng = np.random.default_rng(5)
         arrays = [rng.random(512) for _ in range(3)]
         m = rng.random(512) < 0.5
-        _v, run = pack_many(arrays, m, grid=4, block=4, scheme="css", spec=SPEC)
+        run = pack_many(arrays, m, grid=4, block=4, scheme="css", spec=SPEC).run
         names = set(run.phase_names())
         # One ranking phase set; three per-array comm/compose phases.
         assert "gang.ranking.initial" in names
@@ -93,6 +93,6 @@ def test_property_gang_matches_solo(k, density, w, seed):
     n = 4 * w * 4
     arrays = [rng.random(n) for _ in range(k)]
     m = rng.random(n) < density
-    vectors, _ = pack_many(arrays, m, grid=4, block=w, spec=SPEC)
+    vectors = pack_many(arrays, m, grid=4, block=w, spec=SPEC).vectors
     for a, v in zip(arrays, vectors):
         np.testing.assert_array_equal(v, pack_reference(a, m))

@@ -8,6 +8,8 @@ breakdown, same message-traffic counters.  The cache is a wall-clock
 optimisation only; any observable difference is a bug.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ from repro.core.plan_cache import (
     reset_default_plan_cache,
     resolve_plan_cache,
 )
+from repro.core.schemes import PackConfig
+from repro.hpf import GridLayout, VectorLayout
 from repro.obs import MetricsRegistry, clear_layout_caches, layout_cache_stats
+from repro.runtime.sim import SimBackend
 from repro.serial.reference import mask_ranks, pack_reference, unpack_reference
 
 N = 512
@@ -168,8 +173,8 @@ def test_gang_pack_shares_plan_with_solo_pack():
 
     solo = pack(array, mask, P, scheme="cms", validate=False, plan_cache=cache)
     assert solo.plan_info["cache"] == "miss"
-    vectors, _ = pack_many([array] + others, mask, P, scheme="cms",
-                           validate=False, plan_cache=cache)
+    vectors = pack_many([array] + others, mask, P, scheme="cms",
+                        validate=False, plan_cache=cache).vectors
     assert cache.stats().hits == 1  # the gang replayed the solo plan
     for arr, vec in zip([array] + others, vectors):
         np.testing.assert_array_equal(vec, pack_reference(arr, mask))
@@ -246,6 +251,24 @@ def test_plan_metrics_counters():
     assert hist is not None and hist.count == 2
 
 
+def test_gang_plan_metrics_counters():
+    array, mask = _workload(seed=13)
+    cache = PlanCache()
+    reg = MetricsRegistry()
+    first = pack_many([array, -array], mask, P, validate=False,
+                      plan_cache=cache, metrics=reg)
+    assert reg.value("plan_cache.miss") == 1
+    assert reg.value("plan_cache.hit") == 0
+    second = pack_many([array, -array], mask, P, validate=False,
+                       plan_cache=cache, metrics=reg)
+    assert reg.value("plan_cache.miss") == 1
+    assert reg.value("plan_cache.hit") == 1
+    assert (first.plan_info["cache"], second.plan_info["cache"]) == (
+        "miss", "hit")
+    assert second.plan_info["compile_ms"] == 0.0
+    assert reg.get("plan.compile_ms").count == 2
+
+
 # ------------------------------------------------- satellite regressions
 def test_oversized_vector_without_pad_is_a_valueerror():
     """n_result > Size with no pad vector: a named ValueError up front,
@@ -296,3 +319,49 @@ def test_mp_backend_hit_matches_reference():
     expected = pack_reference(array, mask)
     np.testing.assert_array_equal(miss.vector, expected)
     np.testing.assert_array_equal(hit.vector, expected)
+
+
+# ------------------------------------------------- the shipped closure
+class _RecordingBackend(SimBackend):
+    """Keeps the ``make_rank_args`` closure each run would ship."""
+
+    def run_spmd(self, program, nprocs, **kw):
+        self.shipped.append(kw["make_rank_args"])
+        return super().run_spmd(program, nprocs, **kw)
+
+
+def _closure_values(fn):
+    """Every non-function value reachable through ``fn``'s closure cells."""
+    values, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            v = cell.cell_contents
+            (stack if isinstance(v, types.FunctionType) else values).append(v)
+    return values
+
+
+def test_shipped_rank_args_capture_no_cache_or_observer():
+    """Gang ranks receive the rank-args closure on every op: it may hold
+    layouts, the config, rank plans and plain flags, but never the plan
+    cache (it holds a lock) nor an observer."""
+    array, mask = _workload(seed=14)
+    vector = np.arange(int(mask.sum()), dtype=np.float64)
+    cache, reg = PlanCache(), MetricsRegistry()
+    be = _RecordingBackend()
+    be.shipped = []
+    for _ in range(2):  # a miss (capture) and a hit (replay)
+        pack(array, mask, P, backend=be, plan_cache=cache, metrics=reg)
+        pack(array, mask, P, backend=be, plan_cache=cache, metrics=reg,
+             redistribute="whole", vector=np.zeros(N))
+        unpack(vector, mask, array, P, backend=be, plan_cache=cache,
+               metrics=reg)
+        ranking(mask, P, backend=be, plan_cache=cache, metrics=reg)
+        pack_many([array, -array], mask, P, backend=be, plan_cache=cache,
+                  metrics=reg)
+    plain = (GridLayout, VectorLayout, PackConfig, bool, int, str, type(None))
+    for fn in be.shipped:
+        for v in _closure_values(fn):
+            if isinstance(v, list):
+                assert all(type(p).__name__.endswith("RankPlan") for p in v)
+            else:
+                assert isinstance(v, plain), type(v)

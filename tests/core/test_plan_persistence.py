@@ -6,6 +6,8 @@ so the first request of a steady workload replays instead of compiling.
 The bar is the same bit-identity the in-memory cache guarantees.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,21 @@ def test_save_is_atomic_overwrite(tmp_path):
     cache.save(path)
     assert PlanCache.load(path).keys() == cache.keys()
     assert [p.name for p in tmp_path.iterdir()] == ["plans.json"]
+
+
+def test_one_bad_entry_loads_nothing(tmp_path):
+    """Entries are all parsed and checked before any goes in: a file with
+    one plan whose rank list does not match its key leaves the cache as
+    it was."""
+    cache = PlanCache()
+    _fill(cache)
+    path = tmp_path / "plans.json"
+    cache.save(path)
+    doc = json.loads(path.read_text())
+    doc["plans"][-1]["ranks"].pop()  # P-1 rank entries for a P-rank key
+    path.write_text(json.dumps(doc))
+
+    target = PlanCache()
+    with pytest.raises(ValueError, match="rank entries"):
+        target.load_into(path)
+    assert len(target) == 0

@@ -69,3 +69,71 @@ class TestGoldenStability:
         # The golden values depend on the mask generator staying stable.
         assert int(M1.sum()) == 2106
         assert M1[:8].tolist() == [False, True, True, True, True, True, False, True]
+
+
+# Gang PACK of three arrays under M1 (N=4096, P=16, CYCLIC(8)); the k-th
+# array is A1 * (k + 1).  Values taken before the gang shared PACK's
+# compile-prefix and data-movement generators; a plan hit replays the
+# prefix, so it must read exactly the same as a cache-off run.
+A3 = [A1 * (k + 1) for k in range(3)]
+GOLDEN_GANG = {
+    # scheme -> (elapsed, messages, words, phase -> seconds)
+    "cms": (0.00475715, 720, 8862, {
+        "gang.comm.0": 0.0014597,
+        "gang.comm.1": 0.001455900000000001,
+        "gang.comm.2": 0.0014558999999999996,
+        "gang.compose.0": 2.4999999999999998e-05,
+        "gang.compose.1": 2.4999999999999998e-05,
+        "gang.compose.2": 2.4999999999999998e-05,
+        "gang.decompose.0": 2.4e-05,
+        "gang.decompose.1": 2.4e-05,
+        "gang.decompose.2": 2.4e-05,
+        "gang.ranking.final": 3.2e-06,
+        "gang.ranking.initial": 2.88e-05,
+        "gang.ranking.intermediate.dim0": 3.2e-06,
+        "gang.ranking.prs.dim0": 0.000158,
+        "gang.rescan": 3.99e-05,
+        "gang.sendl": 2.1249999999999998e-05,
+    }),
+    "sss": (0.005058999999999998, 720, 11844, {
+        "gang.comm.0": 0.0015137999999999998,
+        "gang.comm.1": 0.0015038999999999999,
+        "gang.comm.2": 0.0015038999999999968,
+        "gang.compose.0": 4.4699999999999996e-05,
+        "gang.compose.1": 4.4699999999999996e-05,
+        "gang.compose.2": 4.4699999999999996e-05,
+        "gang.decompose.0": 3.96e-05,
+        "gang.decompose.1": 3.96e-05,
+        "gang.decompose.2": 3.96e-05,
+        "gang.ranking.final": 3.2e-06,
+        "gang.ranking.initial": 0.00011499999999999999,
+        "gang.ranking.intermediate.dim0": 3.2e-06,
+        "gang.ranking.prs.dim0": 0.00017779999999999998,
+        "gang.sendl": 4.4699999999999996e-05,
+    }),
+}
+
+
+class TestGoldenGang:
+    @staticmethod
+    def _assert_pinned(run, scheme):
+        elapsed, messages, words, phases = GOLDEN_GANG[scheme]
+        assert run.elapsed == elapsed
+        assert run.total_messages == messages
+        assert run.total_words == words
+        assert run.phase_breakdown() == phases
+
+    @pytest.mark.parametrize("scheme", sorted(GOLDEN_GANG))
+    def test_cache_off(self, scheme):
+        res = repro.pack_many(A3, M1, grid=16, block=8, scheme=scheme)
+        self._assert_pinned(res.run, scheme)
+
+    @pytest.mark.parametrize("scheme", sorted(GOLDEN_GANG))
+    def test_plan_hit(self, scheme):
+        cache = repro.PlanCache()
+        repro.pack_many(A3, M1, grid=16, block=8, scheme=scheme,
+                        plan_cache=cache)
+        res = repro.pack_many(A3, M1, grid=16, block=8, scheme=scheme,
+                              plan_cache=cache)
+        assert res.plan_info["cache"] == "hit"
+        self._assert_pinned(res.run, scheme)

@@ -96,7 +96,7 @@ def _mixed_op(i, rng_masks, arrays):
                                       backend=be, plan_cache=pc).ranks
     return lambda be, pc: np.concatenate(
         pack_many([a, b], mask, grid=(2,), spec=SPEC, backend=be,
-                  plan_cache=pc)[0])
+                  plan_cache=pc).vectors)
 
 
 class TestWarmOpsStayInTheBoxes:

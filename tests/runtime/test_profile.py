@@ -45,9 +45,9 @@ def _comm_program(ctx):
     return gang_total
 
 
-def _mp_profile(nprocs=NPROCS, **kw):
+def _mp_profile(nprocs=NPROCS, transport=None, **kw):
     prof = RuntimeProfiler(**kw)
-    run = MpBackend(timeout=120.0).run_spmd(
+    run = MpBackend(timeout=120.0, transport=transport).run_spmd(
         _comm_program, nprocs, spec=SPEC, profile=prof
     )
     assert prof.profile is not None
@@ -100,14 +100,28 @@ class TestMpTraceMerge:
             assert all(t1 >= t0 for _, t0, t1 in lane.spans)
             assert all(t0 >= 0.0 for _, t0, _ in lane.spans)
 
-    def test_attribution_sums_to_host_wall(self, mp_profile):
-        _, profile = mp_profile
+    @pytest.mark.parametrize("transport", ["ring", "queue"])
+    def test_attribution_sums_to_host_wall(self, transport):
+        _, profile = _mp_profile(transport=transport)
         assert profile.time_domain == "wall"
         assert profile.backend == "mp"
+        assert profile.transport == transport
         assert set(profile.phase_seconds) <= set(RUNTIME_PHASES)
         # The compute residual makes the table telescope to the total.
         assert profile.attributed_fraction == pytest.approx(1.0, abs=1e-6)
         assert profile.dropped_events == 0
+        # The table and summary list only this transport's phases.
+        own = {"ring": {"encode", "ring_send", "ring_wait"},
+               "queue": {"pickle", "queue_send", "queue_wait"}}
+        other = own["queue" if transport == "ring" else "ring"]
+        table = profile.phase_table()
+        assert own[transport] <= set(table)
+        assert not other & set(table)
+        assert sum(row["seconds"] for row in table.values()) == pytest.approx(
+            profile.total_seconds, rel=1e-6)
+        listed = {line.split()[0] for line in profile.summary().splitlines()
+                  if line.endswith("%") and " ms " in line}
+        assert listed == set(table)
 
     def test_gang_spans_cover_host_side(self, mp_profile):
         _, profile = mp_profile

@@ -323,3 +323,48 @@ def test_supervised_solo_ops_ship_through_the_gang():
         unpack_reference(vec, MASK, field))
     np.testing.assert_array_equal(
         decode_array(by_id["rk"]["result"]), mask_ranks(MASK))
+
+
+# -------------------------------------------------- persisted plan cache
+def _good_plan_file(path):
+    from repro.core.api import pack
+    from repro.core.plan_cache import PlanCache
+
+    cache = PlanCache()
+    pack(ARRAYS[0], MASK, 2, scheme="cms", validate=False, plan_cache=cache)
+    pack(ARRAYS[0], ~MASK, 2, scheme="cms", validate=False, plan_cache=cache)
+    cache.save(path)
+    return path.read_text()
+
+
+def _truncated(text):
+    return text[: text.index('"plans": [') + len('"plans": [')]
+
+
+def _schema_skewed(text):
+    return json.dumps(dict(json.loads(text), schema=99))
+
+
+def _one_bad_entry(text):
+    doc = json.loads(text)
+    doc["plans"][0]["ranks"].pop()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _schema_skewed,
+                                     _one_bad_entry])
+def test_bad_plan_cache_file_starts_cold(tmp_path, capsys, corrupt):
+    path = tmp_path / "plans.json"
+    path.write_text(corrupt(_good_plan_file(path)))
+
+    async def fn(srv):
+        assert len(srv.engine.plan_cache) == 0
+        return await _client(srv.host, srv.port, _pack_payloads(ARRAYS[:1]))
+
+    (body,) = _serve(ServeConfig(plan_cache_file=str(path)), fn)
+    assert body["ok"] and body["plan"] == "miss", body
+    np.testing.assert_array_equal(
+        decode_array(body["result"]), pack_reference(ARRAYS[0], MASK))
+    err = capsys.readouterr().err
+    assert err.count("warning: ignoring plan cache file") == 1
+    assert "starting cold" in err
