@@ -100,16 +100,20 @@ class TestMpTraceMerge:
             assert all(t1 >= t0 for _, t0, t1 in lane.spans)
             assert all(t0 >= 0.0 for _, t0, _ in lane.spans)
 
-    @pytest.mark.parametrize("transport", ["ring", "queue"])
-    def test_attribution_sums_to_host_wall(self, transport):
-        _, profile = _mp_profile(transport=transport)
+    def test_attribution_sums_to_host_wall(self, mp_profile):
+        _, profile = mp_profile
         assert profile.time_domain == "wall"
         assert profile.backend == "mp"
-        assert profile.transport == transport
         assert set(profile.phase_seconds) <= set(RUNTIME_PHASES)
         # The compute residual makes the table telescope to the total.
         assert profile.attributed_fraction == pytest.approx(1.0, abs=1e-6)
         assert profile.dropped_events == 0
+
+    @pytest.mark.parametrize("transport", ["ring", "queue"])
+    def test_phase_table_lists_only_own_transport(self, transport):
+        _, profile = _mp_profile(transport=transport)
+        assert profile.transport == transport
+        assert profile.attributed_fraction == pytest.approx(1.0, abs=1e-6)
         # The table and summary list only this transport's phases.
         own = {"ring": {"encode", "ring_send", "ring_wait"},
                "queue": {"pickle", "queue_send", "queue_wait"}}
